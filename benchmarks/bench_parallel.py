@@ -1,10 +1,9 @@
-"""Parallel fabric — serial-vs-parallel speedup and merge overhead.
+"""Parallel fabric — serial-vs-parallel speedup.
 
-Benchmarks the three fabric consumers (sharded chaos campaigns, parallel
-frontier expansion, the sharded register-protocol search) at
-``workers=4`` against their serial twins, recording the measured speedup
-and the fabric's merge/fold overhead in ``extra_info`` so the BENCH
-trajectory tracks them.
+Benchmarks the two fabric consumers (sharded chaos campaigns, the
+sharded register-protocol search) at ``workers=4`` against their serial
+twins, recording the measured speedup in ``extra_info`` so the BENCH
+trajectory tracks it.
 
 Every benchmark *also* asserts bit-identical results between the serial
 and parallel runs — a speedup that changed an answer is a bug, not a
@@ -21,10 +20,7 @@ from conftest import record
 
 from repro.chaos import run_campaign
 from repro.chaos.targets import default_targets
-from repro.core.exploration import explore
-from repro.core.stategraph import StateGraph, state_graph
 from repro.registers.exhaustive import search_register_consensus
-from repro.shared_memory.mutex.dijkstra import dijkstra_system
 
 WORKERS = 4
 CAMPAIGN_RUNS = 60
@@ -82,40 +78,6 @@ def test_parallel_campaign_workers4(benchmark):
     )
 
 
-def test_parallel_explore_workers4(benchmark):
-    """Parallel frontier expansion at workers=4 vs serial (Dijkstra n=3).
-
-    Fresh automata per run (the graph memo lives on the automaton), so
-    every measured expansion starts cold.
-    """
-    serial_result = explore(dijkstra_system(3), include_inputs=True)
-    serial_s = _best_of(
-        lambda: explore(dijkstra_system(3), include_inputs=True), reps=1
-    )
-    parallel_s = _best_of(
-        lambda: explore(dijkstra_system(3), include_inputs=True,
-                        workers=WORKERS),
-        reps=1,
-    )
-    result = benchmark(
-        lambda: explore(
-            dijkstra_system(3), include_inputs=True, workers=WORKERS
-        )
-    )
-    assert result.reachable == serial_result.reachable
-    assert result.parents == serial_result.parents
-    record(
-        benchmark,
-        workers=WORKERS,
-        cpu_count=os.cpu_count(),
-        states=len(result.reachable),
-        serial_s=round(serial_s, 4),
-        parallel_s=round(parallel_s, 4),
-        speedup=round(serial_s / parallel_s, 3),
-        identical_to_serial=True,
-    )
-
-
 def test_parallel_register_search_workers4(benchmark):
     """Sharded exhaustive register search at workers=4 vs serial (depth 2)."""
     serial_outcome = search_register_consensus(depth=2)
@@ -136,48 +98,4 @@ def test_parallel_register_search_workers4(benchmark):
         parallel_s=round(parallel_s, 4),
         speedup=round(serial_s / parallel_s, 3),
         identical_to_serial=True,
-    )
-
-
-def test_parallel_merge_overhead(benchmark):
-    """The fold cost the parent pays per prefetched state.
-
-    Expands Dijkstra n=3 once to fill a successor memo, then benchmarks
-    a *fresh* frontier fold over a graph pre-seeded with every sweep —
-    the limit case of infinitely fast workers.  The difference between
-    this and a cold serial expansion is exactly the work the fabric can
-    parallelize; the fold itself is the sequential floor (Amdahl term)
-    and its per-state cost is the number to watch.
-    """
-    automaton = dijkstra_system(3)
-    warm = state_graph(automaton)
-    warm.reachable(max_states=500_000, include_inputs=True)
-
-    def fold_only():
-        fresh = StateGraph(automaton)
-        for sid in range(len(warm.interner)):
-            if not warm._plocal.is_expanded(sid):
-                continue
-            fresh.seed_transitions(
-                warm.interner.state_of(sid),
-                warm._view(warm._plocal, warm._lviews, sid),
-                warm._view(warm._pinput, warm._iviews, sid)
-                if warm._pinput.is_expanded(sid) else None,
-            )
-        fresh.frontier(True).expand_all(500_000)
-        return len(fresh.frontier(True).parents)
-
-    states = benchmark(fold_only)
-    assert states == len(warm.frontier(True).parents)
-    serial_s = _best_of(
-        lambda: explore(dijkstra_system(3), include_inputs=True), reps=1
-    )
-    fold_s = _best_of(fold_only, reps=1)
-    record(
-        benchmark,
-        states=states,
-        cold_serial_s=round(serial_s, 4),
-        fold_s=round(fold_s, 4),
-        sequential_fraction=round(fold_s / serial_s, 3),
-        fold_us_per_state=round(1e6 * fold_s / states, 2),
     )

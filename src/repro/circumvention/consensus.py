@@ -38,30 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.budget import Budget, BudgetExceeded, BudgetMeter
-from ..core.runtime import DECIDE, DECLARE, SEND, Trace, TraceEvent
+from ..core.budget import Budget, BudgetExceeded
+from ..core.runtime import DECIDE, DECLARE, SEND, Trace, TraceEvent, drive
 from .partitions import Schedule
 
 SUBSTRATE = "rotating-consensus"
 
 SUSPECT_ATOM = "suspect"
 RELENTLESS_ATOM = "relentless"
-
-
-class TandemMeter:
-    """Charge several meters as one (campaign account + a run's own cap).
-
-    Only the stepping interface — exactly what the simulators use.  Any
-    member's overdraft raises that member's structured
-    :class:`BudgetExceeded`.
-    """
-
-    def __init__(self, *meters: Optional[BudgetMeter]):
-        self.meters = [m for m in meters if m is not None]
-
-    def charge_steps(self, k: int = 1) -> None:
-        for m in self.meters:
-            m.charge_steps(k)
 
 
 class SuspicionOracle:
@@ -107,6 +91,9 @@ class ConsensusRun:
 class _ConsensusSim:
     """Mutable state: estimates, timestamps, the round cursor, the log."""
 
+    substrate = SUBSTRATE
+    protocol = "rotating-coordinator"
+
     def __init__(
         self,
         atoms: Schedule,
@@ -117,7 +104,7 @@ class _ConsensusSim:
         self.oracle = SuspicionOracle(atoms, len(inputs))
         self.seed = seed
         self.inputs = tuple(inputs)
-        self.n = len(inputs)
+        self.n = self.cost = len(inputs)
         self.quorum = self.n // 2 + 1
         self.max_rounds = max_rounds
         self.rnd = 0
@@ -133,7 +120,12 @@ class _ConsensusSim:
         )
         self._step_no += 1
 
-    def step_round(self) -> None:
+    def restart(self) -> "_ConsensusSim":
+        return _ConsensusSim(
+            self.oracle.atoms, self.seed, self.inputs, self.max_rounds
+        )
+
+    def step(self) -> None:
         """One full round: gather, propose, ack-or-nack, maybe decide."""
         r = self.rnd
         c = r % self.n
@@ -198,49 +190,17 @@ def run_rotating_consensus(
     ``budget=`` overdraft instead returns ``complete=False`` with a
     ``resume`` handle.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _ConsensusSim(tuple(atoms), seed, inputs, max_rounds)
-    own = budget.meter("rotating-consensus") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while not sim.done:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step_round()
-    complete = sim.done
-
-    def replayer() -> Trace:
-        return run_rotating_consensus(
-            sim.oracle.atoms,
-            sim.seed,
-            inputs=sim.inputs,
-            max_rounds=sim.max_rounds,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="rotating-coordinator",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
-        ),
-        replayer=replayer if complete else None,
+    run = drive(
+        lambda: _ConsensusSim(tuple(atoms), seed, inputs, max_rounds),
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
     return ConsensusRun(
-        trace=trace,
-        complete=complete,
-        decided=sim.decided,
-        rounds=sim.rnd,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        trace=run.trace,
+        complete=run.complete,
+        decided=run.sim.decided,
+        rounds=run.sim.rnd,
+        resume=run.resume,
+        interrupted=run.interrupted,
     )

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded, BudgetMeter
-from ..core.runtime import DECLARE, SEND, Trace, TraceEvent
+from ..core.runtime import DECLARE, SEND, Trace, TraceEvent, drive
 from .partitions import PartitionAdversary, Schedule
 
 SUBSTRATE = "failure-detector"
@@ -78,6 +78,9 @@ class DetectorRun:
 class _DetectorSim:
     """The mutable simulator: all state needed to take one more step."""
 
+    substrate = SUBSTRATE
+    protocol = "heartbeat-detector"
+
     def __init__(
         self,
         atoms: Schedule,
@@ -91,7 +94,7 @@ class _DetectorSim:
     ):
         self.partition = PartitionAdversary(atoms, n)
         self.seed = seed
-        self.n = n
+        self.n = self.cost = n
         self.horizon = horizon
         self.heartbeat_every = heartbeat_every
         self.initial_timeout = initial_timeout
@@ -115,6 +118,17 @@ class _DetectorSim:
             TraceEvent(self._step_no, actor, kind, payload, None, self.t)
         )
         self._step_no += 1
+
+    def restart(self) -> "_DetectorSim":
+        return _DetectorSim(
+            self.partition.atoms, self.seed, self.n, self.horizon,
+            self.heartbeat_every, self.initial_timeout, self.adaptive,
+            self.jitter,
+        )
+
+    @property
+    def done(self) -> bool:
+        return self.t >= self.horizon
 
     def _note_change(self):
         self.last_change = self.t
@@ -186,7 +200,7 @@ class _DetectorSim:
             "leader_changes": self.leader_changes,
             "last_change": self.last_change,
             "crashed": tuple(sorted(self.partition.ever_crashed())),
-            "complete": self.t >= self.horizon,
+            "complete": self.done,
         }
 
 
@@ -210,54 +224,19 @@ def run_heartbeat_detector(
     meter): its overdraft *raises*.  ``budget`` opens this run's own
     account: its overdraft returns a partial, resumable run instead.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _DetectorSim(
+    run = drive(
+        lambda: _DetectorSim(
             tuple(atoms), seed, n, horizon, heartbeat_every,
             initial_timeout, adaptive, jitter,
-        )
-    own = budget.meter("heartbeat-detector") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while sim.t < sim.horizon:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.t >= sim.horizon
-
-    def replayer() -> Trace:
-        return run_heartbeat_detector(
-            sim.partition.atoms,
-            sim.seed,
-            n=sim.n,
-            horizon=sim.horizon,
-            heartbeat_every=sim.heartbeat_every,
-            initial_timeout=sim.initial_timeout,
-            adaptive=sim.adaptive,
-            jitter=sim.jitter,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="heartbeat-detector",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
         ),
-        replayer=replayer if complete else None,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
+    sim = run.sim
     return DetectorRun(
-        trace=trace,
-        complete=complete,
+        trace=run.trace,
+        complete=run.complete,
         suspects={
             p: tuple(sorted(sim.suspects[p])) for p in range(sim.n)
         },
@@ -268,6 +247,6 @@ def run_heartbeat_detector(
         },
         leader_changes=sim.leader_changes,
         last_change=sim.last_change,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        resume=run.resume,
+        interrupted=run.interrupted,
     )

@@ -56,6 +56,7 @@ from ..core.runtime import (
     SEND,
     Trace,
     TraceEvent,
+    drive,
 )
 from .partitions import Atom, Schedule
 
@@ -181,6 +182,9 @@ class GSTRun:
 class _GSTSim:
     """Mutable state: values, locks, the round cursor, the log."""
 
+    substrate = SUBSTRATE
+    protocol = "dls-rotating-coordinator"
+
     def __init__(
         self,
         atoms: Schedule,
@@ -190,7 +194,7 @@ class _GSTSim:
         max_rounds: int,
         default_gst: Optional[int],
     ):
-        self.n = len(inputs)
+        self.n = self.cost = len(inputs)
         self.t = t
         if 2 * t >= self.n:
             raise ModelError(
@@ -220,7 +224,13 @@ class _GSTSim:
             p for p in range(self.n) if not self.adversary.crashed(self.rnd, p)
         ]
 
-    def step_round(self) -> None:
+    def restart(self) -> "_GSTSim":
+        return _GSTSim(
+            self.adversary.atoms, self.seed, self.inputs, self.t,
+            self.max_rounds, self.adversary.gst,
+        )
+
+    def step(self) -> None:
         """One synchronized round: report, propose, ack, maybe decide."""
         r = self.rnd
         adv = self.adversary
@@ -324,55 +334,22 @@ def run_gst_consensus(
     stabilization can, carrying the structured receipt.  A ``budget=``
     overdraft instead returns ``complete=False`` with a resume handle.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _GSTSim(
+    run = drive(
+        lambda: _GSTSim(
             tuple(atoms), seed, tuple(inputs), t, max_rounds, default_gst
-        )
-    own = budget.meter("gst-consensus") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while not sim.done:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step_round()
-    complete = sim.done
-
-    def replayer() -> Trace:
-        return run_gst_consensus(
-            sim.adversary.atoms,
-            sim.seed,
-            inputs=sim.inputs,
-            t=sim.t,
-            max_rounds=sim.max_rounds,
-            default_gst=sim.adversary.gst,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="dls-rotating-coordinator",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
         ),
-        replayer=replayer if complete else None,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
+    sim = run.sim
     return GSTRun(
-        trace=trace,
-        complete=complete,
+        trace=run.trace,
+        complete=run.complete,
         decisions={p: sim.decided[p] for p in range(sim.n)},
         rounds=sim.rnd,
         gst=sim.adversary.gst,
         crashed=tuple(sorted(sim.adversary.crashed_at)),
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        resume=run.resume,
+        interrupted=run.interrupted,
     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded, BudgetMeter
-from ..core.runtime import DECLARE, OUTPUT, SEND, Trace, TraceEvent
+from ..core.runtime import DECLARE, OUTPUT, SEND, Trace, TraceEvent, drive
 from .partitions import PartitionAdversary, Schedule
 
 SUBSTRATE = "quorum-lease"
@@ -69,6 +69,8 @@ class LeaseRun:
 class _LeaseSim:
     """Mutable state: promises, known leases, replica versions, the log."""
 
+    substrate = SUBSTRATE
+
     def __init__(
         self,
         atoms: Schedule,
@@ -84,7 +86,7 @@ class _LeaseSim:
     ):
         self.partition = PartitionAdversary(atoms, n)
         self.seed = seed
-        self.n = n
+        self.n = self.cost = n
         self.horizon = horizon
         self.lease_len = lease_len
         self.renew_margin = renew_margin
@@ -92,6 +94,7 @@ class _LeaseSim:
         self.write_every = write_every
         self.read_every = read_every
         self.buggy_no_quorum = buggy_no_quorum
+        self.protocol = "quorum-lease-bug" if buggy_no_quorum else "quorum-lease"
         self.quorum = n // 2 + 1
         self.t = 0
         #: acceptor promise: pid -> (holder, expiry) or None
@@ -111,6 +114,17 @@ class _LeaseSim:
             TraceEvent(self._step_no, actor, kind, payload, None, self.t)
         )
         self._step_no += 1
+
+    def restart(self) -> "_LeaseSim":
+        return _LeaseSim(
+            self.partition.atoms, self.seed, self.n, self.horizon,
+            self.lease_len, self.renew_margin, self.staleness_bound,
+            self.write_every, self.read_every, self.buggy_no_quorum,
+        )
+
+    @property
+    def done(self) -> bool:
+        return self.t >= self.horizon
 
     # -- helpers -----------------------------------------------------------
 
@@ -211,7 +225,7 @@ class _LeaseSim:
             "leases": tuple(self.leases),
             "commits": self.commits,
             "versions": tuple(self.version),
-            "complete": self.t >= self.horizon,
+            "complete": self.done,
         }
 
 
@@ -237,58 +251,20 @@ def run_quorum_lease(
     opens this run's own account and returns a resumable partial run
     instead.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _LeaseSim(
+    run = drive(
+        lambda: _LeaseSim(
             tuple(atoms), seed, n, horizon, lease_len, renew_margin,
             staleness_bound, write_every, read_every, buggy_no_quorum,
-        )
-    own = budget.meter("quorum-lease") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while sim.t < sim.horizon:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.t >= sim.horizon
-
-    def replayer() -> Trace:
-        return run_quorum_lease(
-            sim.partition.atoms,
-            sim.seed,
-            n=sim.n,
-            horizon=sim.horizon,
-            lease_len=sim.lease_len,
-            renew_margin=sim.renew_margin,
-            staleness_bound=sim.staleness_bound,
-            write_every=sim.write_every,
-            read_every=sim.read_every,
-            buggy_no_quorum=sim.buggy_no_quorum,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="quorum-lease-bug" if sim.buggy_no_quorum else "quorum-lease",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
         ),
-        replayer=replayer if complete else None,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
     return LeaseRun(
-        trace=trace,
-        complete=complete,
-        leases=tuple(sim.leases),
-        commits=sim.commits,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        trace=run.trace,
+        complete=run.complete,
+        leases=tuple(run.sim.leases),
+        commits=run.sim.commits,
+        resume=run.resume,
+        interrupted=run.interrupted,
     )

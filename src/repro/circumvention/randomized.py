@@ -61,6 +61,7 @@ from ..core.runtime import (
     Trace,
     TraceEvent,
     derive_seed,
+    drive,
 )
 from ..parallel.pool import WorkerPool
 from .partitions import Schedule
@@ -199,6 +200,9 @@ class BenOrRun:
 class _BenOrSim:
     """Mutable simulator state: processes, the flight list, the log."""
 
+    substrate = SUBSTRATE
+    cost = 1  # one delivery per step
+
     def __init__(
         self,
         atoms: Schedule,
@@ -215,6 +219,7 @@ class _BenOrSim:
         self.t = t
         self.inputs = tuple(inputs)
         self.biased_coin = biased_coin
+        self.protocol = "ben-or" + ("-biased-coin" if biased_coin else "")
         self.max_events = max_events
         self.rng = random.Random(derive_seed(seed, "benor-schedule"))
         self.processes = [
@@ -228,6 +233,12 @@ class _BenOrSim:
         self.events: List[TraceEvent] = []
         self._step_no = 0
         self._drain()
+
+    def restart(self) -> "_BenOrSim":
+        return _BenOrSim(
+            self.adversary.atoms, self.seed, self.n, self.t, self.inputs,
+            self.biased_coin, self.max_events,
+        )
 
     def _emit(self, actor, kind, payload, phase=None):
         self.events.append(
@@ -339,53 +350,19 @@ def run_ben_or_traced(
     account: its overdraft returns a partial, resumable run whose
     finished trace is byte-identical to an uninterrupted one.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        if inputs is None:
-            inputs = tuple(i % 2 for i in range(n))
-        inputs = tuple(1 if v else 0 for v in inputs)
-        n = len(inputs)
-        sim = _BenOrSim(
-            tuple(atoms), seed, n, t, inputs, biased_coin, max_events
-        )
-    own = budget.meter("benor-consensus") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while not sim.done:
-        if meter is not None:
-            meter.charge_steps()
-        if own is not None:
-            try:
-                own.charge_steps()
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.done
-
-    def replayer() -> Trace:
-        return run_ben_or_traced(
-            sim.adversary.atoms,
-            sim.seed,
-            n=sim.n,
-            t=sim.t,
-            inputs=sim.inputs,
-            biased_coin=sim.biased_coin,
-            max_events=sim.max_events,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="ben-or" + ("-biased-coin" if sim.biased_coin else ""),
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
+    if inputs is None:
+        inputs = tuple(i % 2 for i in range(n))
+    inputs = tuple(1 if v else 0 for v in inputs)
+    run = drive(
+        lambda: _BenOrSim(
+            tuple(atoms), seed, len(inputs), t, inputs, biased_coin,
+            max_events,
         ),
-        replayer=replayer if complete else None,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
+    sim = run.sim
     decisions = {p: sim.processes[p].decided for p in range(sim.n)}
     live = [p for p in range(sim.n) if p not in sim.crashed]
     decided_values = {
@@ -396,16 +373,16 @@ def run_ben_or_traced(
         (v,) = set(sim.inputs)
         validity = all(decisions[p] in (None, v) for p in live)
     return BenOrRun(
-        trace=trace,
-        complete=complete,
+        trace=run.trace,
+        complete=run.complete,
         decisions=decisions,
         phases={p: sim._phase_of(p) for p in range(sim.n)},
         crashed=tuple(sorted(sim.crashed)),
         events=sim.k,
         agreement=len(decided_values) <= 1,
         validity=validity,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        resume=run.resume,
+        interrupted=run.interrupted,
     )
 
 

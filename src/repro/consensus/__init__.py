@@ -95,7 +95,6 @@ __all__ = [
     "ProcessView",
     "run_synchronous",
     "SyncAdversary",
-    "Adversary",
     "NoFaults",
     "CrashAdversary",
     "OmissionAdversary",
@@ -157,17 +156,3 @@ __all__ = [
     "connectivity_scenarios",
     "connectivity_certificate",
 ]
-
-
-def __getattr__(name: str):
-    if name == "Adversary":
-        import warnings
-
-        warnings.warn(
-            "repro.consensus.Adversary is deprecated; use SyncAdversary "
-            "(the unified FaultAdversary hierarchy lives in repro.core.runtime)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SyncAdversary
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,7 @@ Id lifetime rules:
   the lifetime of the interner** — an id is never reassigned;
 * ids are **local to one interner** (one per :class:`~repro.core.stategraph.StateGraph`
   / transition cache); they must never be compared across interners —
-  ship the frozen state (or an explicit id-table delta, see
-  :mod:`repro.parallel.explore`) across that boundary;
+  ship the frozen state across that boundary;
 * :meth:`StateInterner.clear` resets the id space; every packed
   structure holding ids from it must be dropped with it (the owning
   graph does this, see ``clear_intern_table``).
@@ -166,8 +165,7 @@ class PackedGraph:
         """Record ``sid``'s full successor sweep (append-once).
 
         ``labels`` and ``succ_ids`` must be aligned.  A second add for
-        the same id is ignored — first sweep wins, matching the
-        prefetch-tolerant memo discipline of the frontier fold.
+        the same id is ignored — first sweep wins.
         """
         self._ensure_slot(sid)
         if self._start[sid] != UNEXPANDED:

@@ -35,6 +35,10 @@ trace.  This module is the shared kernel they now all route through:
 
 * :func:`derive_seed` / :func:`spawn_rng` — stable seed derivation
   (independent of ``PYTHONHASHSEED``) for sub-processes and child RNGs.
+
+* :func:`drive` — the one driver loop of the step-wise engines (the
+  circumvention layer): budget/resume, meter charging, the replayer and
+  :class:`Trace` assembly, written once.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -56,6 +61,7 @@ from typing import (
     Tuple,
 )
 
+from .budget import Budget, BudgetExceeded, BudgetMeter
 from .errors import ReproError
 
 # ---------------------------------------------------------------------------
@@ -617,3 +623,75 @@ def replay(trace: Trace) -> Trace:
     if fresh.fingerprint() != trace.fingerprint():
         raise ReplayDivergence(trace, fresh)
     return fresh
+
+
+# ---------------------------------------------------------------------------
+# The engine driver
+# ---------------------------------------------------------------------------
+
+
+class Driven(NamedTuple):
+    """One :func:`drive` result: the simulation, its trace, and why it
+    stopped early (``None`` when it ran to completion)."""
+
+    sim: Any
+    trace: Trace
+    interrupted: Optional[BudgetExceeded]
+
+    @property
+    def complete(self) -> bool:
+        return self.interrupted is None
+
+    @property
+    def resume(self) -> Any:
+        """The handle that continues a partial run (``None`` once complete)."""
+        return None if self.complete else self.sim
+
+
+def drive(
+    start: Callable[[], Any],
+    *,
+    meter: Optional[BudgetMeter] = None,
+    budget: Optional[Budget] = None,
+    resume: Any = None,
+) -> Driven:
+    """Run (or resume) one step-wise engine simulation to completion.
+
+    ``start`` builds a fresh simulation; ``resume`` is an earlier partial
+    run, whose ``resume`` handle continues instead.  A simulation has
+    ``substrate``, ``protocol``, ``seed``, ``events``, ``cost`` (steps
+    charged per step), ``done``, ``step()``, ``outcome()`` and
+    ``restart()`` (a fresh simulation with the same parameters).
+
+    Each step first charges ``meter``, an external account whose
+    overdraft raises :class:`BudgetExceeded`, then the run's own
+    ``budget`` account, whose overdraft stops the run and returns it
+    partial and resumable.  A completed trace replays from ``restart()``.
+    """
+    if resume is not None:
+        if resume.resume is None:
+            raise ValueError("run is not resumable (it completed)")
+        sim = resume.resume
+    else:
+        sim = start()
+    own = budget.meter(sim.substrate) if budget is not None else None
+    interrupted: Optional[BudgetExceeded] = None
+    while not sim.done:
+        if meter is not None:
+            meter.charge_steps(sim.cost)
+        if own is not None:
+            try:
+                own.charge_steps(sim.cost)
+            except BudgetExceeded as exc:
+                interrupted = exc
+                break
+        sim.step()
+    trace = Trace(
+        substrate=sim.substrate,
+        protocol=sim.protocol,
+        seed=sim.seed,
+        events=tuple(sim.events),
+        outcome=tuple(sorted((str(k), v) for k, v in sim.outcome().items())),
+        replayer=None if interrupted else lambda: drive(sim.restart).trace,
+    )
+    return Driven(sim, trace, interrupted)

@@ -26,7 +26,6 @@ run_traced` additionally records the run in the unified
 from __future__ import annotations
 
 import random
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence
@@ -305,21 +304,3 @@ class ScriptedIndexScheduler(Scheduler):
 
     def reset(self) -> None:
         self._index = 0
-
-
-# -- deprecated names -------------------------------------------------------
-
-_DEPRECATED = {"GreedyAdversary": ("GreedyScheduler", GreedyScheduler)}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        new_name, obj = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.core.scheduler.{name} is deprecated; use {new_name} "
-            "(the unified FaultAdversary hierarchy lives in repro.core.runtime)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

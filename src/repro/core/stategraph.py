@@ -98,22 +98,6 @@ class _Frontier:
             )
         return out
 
-    def pending(self, limit: int) -> List[State]:
-        """The next (up to) ``limit`` states awaiting expansion, in order.
-
-        A read-only view of the queue head — the batch interface the
-        parallel fabric prefetches (:mod:`repro.parallel.explore`).
-        """
-        state_of = self.graph.interner.state_of
-        if limit >= len(self.queue):
-            return [state_of(sid) for sid in self.queue]
-        return [state_of(self.queue[i]) for i in range(limit)]
-
-    def start(self) -> None:
-        """Seed the queue with the initial states (idempotent entry)."""
-        if not self.started:
-            self._start()
-
     def _start(self) -> None:
         self.started = True
         intern = self.graph.interner.intern
@@ -123,12 +107,6 @@ class _Frontier:
                 self.parent_of[sid] = None
                 self.order.append(sid)
                 self.queue.append(sid)
-
-    def expand_one(
-        self, max_states: int, meter: Optional[BudgetMeter] = None
-    ) -> None:
-        """Expand the state at the head of the queue (public batch step)."""
-        self._expand_one(max_states, meter)
 
     def _expand_one(
         self, max_states: int, meter: Optional[BudgetMeter] = None
@@ -220,7 +198,6 @@ class StateGraph:
         self._cones: Dict[State, FrozenSet[State]] = {}
         self.hits = 0
         self.misses = 0
-        self.prefetched = 0
         register_packed_owner(self)
 
     def reset_packed_state(self) -> None:
@@ -316,43 +293,6 @@ class StateGraph:
     def successors(self, state: State, include_inputs: bool = False) -> Tuple[State, ...]:
         return tuple(s for _a, s in self.transitions(state, include_inputs))
 
-    def has_transitions(self, state: State, include_inputs: bool = False) -> bool:
-        """Is the successor sweep for ``state`` already memoized?"""
-        sid = self.interner.id_of(state)
-        if sid is None or not self._plocal.is_expanded(sid):
-            return False
-        return not include_inputs or self._pinput.is_expanded(sid)
-
-    def seed_transitions(
-        self,
-        state: State,
-        local_edges: Tuple[Edge, ...],
-        input_edges: Optional[Tuple[Edge, ...]] = None,
-    ) -> None:
-        """Install an externally computed successor sweep into the memo.
-
-        The parallel fabric's prefetch channel: a worker process computed
-        the sweep, the parent folds it in so the subsequent (serial,
-        authoritative) expansion is a pure cache hit.  Already-memoized
-        states are left untouched — the first recorded sweep wins, which
-        keeps a racing prefetch harmless.
-        """
-        intern = self.interner.intern
-        sid = intern(state)
-        if not self._plocal.is_expanded(sid):
-            self._plocal.add_row(
-                sid,
-                [action for action, _succ in local_edges],
-                [intern(succ) for _action, succ in local_edges],
-            )
-            self.prefetched += 1
-        if input_edges is not None and not self._pinput.is_expanded(sid):
-            self._pinput.add_row(
-                sid,
-                [action for action, _succ in input_edges],
-                [intern(succ) for _action, succ in input_edges],
-            )
-
     # -- cross-run persistence ---------------------------------------------
 
     def export_packed(self) -> Dict[str, object]:
@@ -418,23 +358,10 @@ class StateGraph:
         max_states: int = 100_000,
         include_inputs: bool = False,
         meter: Optional[BudgetMeter] = None,
-        workers=1,
     ) -> Set[State]:
-        """The full reachable state set (a copy; the frontier stays cached).
-
-        ``workers > 1`` prefetches successor sweeps across worker
-        processes (:mod:`repro.parallel.explore`); the result is
-        bit-identical to the serial expansion.
-        """
+        """The full reachable state set (a copy; the frontier stays cached)."""
         frontier = self.frontier(include_inputs)
-        if workers not in (None, 0, 1):
-            from ..parallel.explore import expand_frontier_parallel
-
-            expand_frontier_parallel(
-                self, include_inputs, max_states, meter, workers
-            )
-        else:
-            frontier.expand_all(max_states, meter)
+        frontier.expand_all(max_states, meter)
         return set(frontier.parents)
 
     def parents(self, include_inputs: bool = False) -> Dict[State, Optional[Tuple[State, Action]]]:
@@ -488,7 +415,6 @@ class StateGraph:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "prefetched": self.prefetched,
             "states_expanded": self._plocal.rows,
             "frontier_states": sum(
                 f.seen.count for f in self._frontiers.values()

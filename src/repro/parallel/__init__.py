@@ -1,7 +1,7 @@
-"""The parallel execution fabric: multiprocess campaigns and exploration.
+"""The parallel execution fabric: multiprocess campaigns and searches.
 
 Every CPU-bound search in this repository — chaos campaigns, exhaustive
-register-protocol enumeration, state-graph frontier expansion — is a
+register-protocol enumeration, expected-round sweeps — is a
 deterministic function of ``(protocol, inputs, adversary, seed)`` thanks
 to the unified runtime's seed plumbing (:func:`repro.core.runtime.derive_seed`).
 That makes the workloads embarrassingly parallel *and* checkable: the
@@ -10,23 +10,18 @@ order-independently, exactly the property extension-based and FLP-style
 proof reconstructions exploit when they explore independent branches of
 the execution tree in any order.
 
-The fabric has three layers:
+The fabric has two layers:
 
 * :mod:`repro.parallel.pool` — process-pool plumbing on the stdlib only
   (:class:`WorkerPool` over :class:`concurrent.futures.ProcessPoolExecutor`,
   a cross-process :class:`SharedCounter` for budget fan-in,
   :func:`resolve_workers`, :func:`split_chunks`);
-* :mod:`repro.parallel.explore` — batched frontier **prefetch** for
-  :class:`~repro.core.stategraph.StateGraph`: workers expand frontier
-  states and return edge lists, the parent folds them into the memoized
-  graph by re-running the *serial* expansion over the warmed cache, so
-  discovery order, parent maps and budget accounting are bit-identical
-  to a serial run by construction;
 * consumers — :func:`repro.chaos.campaign.run_campaign`,
-  :func:`repro.core.exploration.explore`,
-  :meth:`repro.core.stategraph.StateGraph.reachable` and
-  :func:`repro.registers.exhaustive.search_register_consensus` all take
-  ``workers=N``.
+  :func:`repro.registers.exhaustive.search_register_consensus` and
+  :func:`repro.circumvention.expected_rounds` take ``workers=N``.
+
+State-graph exploration (:func:`repro.core.exploration.explore`) is
+serial.
 
 The headline guarantee, enforced by ``tests/test_parallel_fabric.py``
 and the golden-trace suite: **every result is bit-identical for
@@ -34,7 +29,6 @@ and the golden-trace suite: **every result is bit-identical for
 optimization; it never changes an answer.
 """
 
-from .explore import expand_frontier_parallel
 from .pool import (
     SharedCounter,
     WorkerPool,
@@ -45,7 +39,6 @@ from .pool import (
 __all__ = [
     "SharedCounter",
     "WorkerPool",
-    "expand_frontier_parallel",
     "resolve_workers",
     "split_chunks",
 ]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.automaton import IOAutomaton
 from ..core.stategraph import StateGraph, state_graph

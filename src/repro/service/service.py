@@ -9,7 +9,11 @@ A :class:`QueryService` answers the repository's standing questions —
 * ``register-search`` — the exhaustive failure census over the bounded
   register-consensus program class at a given depth;
 * ``chaos-campaign`` — a full seeded chaos campaign, counterexamples and
-  all
+  all;
+* ``detector-run``, ``lease-run``, ``benor-run`` and ``gst-run`` — one
+  run of a circumvention engine (heartbeat detector, quorum lease,
+  Ben-Or, DLS under GST) on one adversary schedule and seed, keyed by
+  every engine parameter
 
 — from the :class:`~repro.service.store.CertificateStore` when a
 verified entry exists, and by running the live engine on a miss.  The
@@ -34,7 +38,10 @@ threaded into every live fallback that accepts one.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.budget import Budget
@@ -42,20 +49,8 @@ from ..parallel.pool import WorkerPool, resolve_workers
 from .keys import QueryKey, decode_canonical, encode_canonical
 from .store import CertificateStore
 
-QUERY_KINDS = (
-    "flp-analysis",
-    "valency",
-    "register-search",
-    "chaos-campaign",
-    "detector-run",
-    "lease-run",
-    "benor-run",
-    "gst-run",
-)
-
-
 # ---------------------------------------------------------------------------
-# Key constructors (one per query kind, defaults pinned for stable keys)
+# Key constructors (one per query kind; every default lands in the key)
 # ---------------------------------------------------------------------------
 
 
@@ -94,98 +89,46 @@ def campaign_key(
     )
 
 
-def detector_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    horizon: int = 40,
-    heartbeat_every: int = 3,
-    initial_timeout: int = 4,
-    adaptive: bool = True,
-    jitter: int = 1,
-) -> QueryKey:
-    """Key for one heartbeat failure-detector run (circumvention layer)."""
-    return QueryKey.make(
-        "detector-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        horizon=horizon,
-        heartbeat_every=heartbeat_every,
-        initial_timeout=initial_timeout,
-        adaptive=adaptive,
-        jitter=jitter,
-    )
+def _engine_run_key(kind: str, atoms, seed, params) -> QueryKey:
+    """Key for one engine run: every engine parameter except the run
+    controls ``meter``/``budget``/``resume``, with defaults filled in
+    from the engine's own signature."""
+    signature = inspect.signature(_engine(kind))
+    signature = signature.replace(parameters=[
+        p for p in signature.parameters.values()
+        if p.name not in ("meter", "budget", "resume")
+    ])
+    bound = signature.bind(tuple(atoms), seed, **params)
+    bound.apply_defaults()
+    return QueryKey.make(kind, **{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in bound.arguments.items()
+    })
 
 
-def lease_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    horizon: int = 48,
-    lease_len: int = 8,
-    renew_margin: int = 2,
-    staleness_bound: int = 8,
-    write_every: int = 3,
-    read_every: int = 5,
-    buggy_no_quorum: bool = False,
-) -> QueryKey:
-    """Key for one quorum-lease run under a partition schedule."""
-    return QueryKey.make(
-        "lease-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        horizon=horizon,
-        lease_len=lease_len,
-        renew_margin=renew_margin,
-        staleness_bound=staleness_bound,
-        write_every=write_every,
-        read_every=read_every,
-        buggy_no_quorum=buggy_no_quorum,
-    )
+def detector_run_key(atoms: Tuple = (), seed: int = 0, **params) -> QueryKey:
+    """Key for one heartbeat failure-detector run; ``params`` are the
+    keywords of :func:`~repro.circumvention.run_heartbeat_detector`."""
+    return _engine_run_key("detector-run", atoms, seed, params)
 
 
-def benor_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    t: int = 1,
-    inputs: Optional[Tuple[int, ...]] = None,
-    biased_coin: bool = False,
-    max_events: int = 4000,
-) -> QueryKey:
-    """Key for one Ben-Or randomized-consensus run (circumvention layer)."""
-    return QueryKey.make(
-        "benor-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        t=t,
-        inputs=None if inputs is None else tuple(inputs),
-        biased_coin=biased_coin,
-        max_events=max_events,
-    )
+def lease_run_key(atoms: Tuple = (), seed: int = 0, **params) -> QueryKey:
+    """Key for one quorum-lease run under a partition schedule; ``params``
+    are the keywords of :func:`~repro.circumvention.run_quorum_lease`."""
+    return _engine_run_key("lease-run", atoms, seed, params)
 
 
-def gst_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    inputs: Tuple[int, ...] = (0, 1, 1, 0),
-    t: int = 1,
-    max_rounds: int = 64,
-    default_gst: Optional[int] = None,
-) -> QueryKey:
-    """Key for one DLS consensus run under a partial-synchrony schedule."""
-    return QueryKey.make(
-        "gst-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        inputs=tuple(inputs),
-        t=t,
-        max_rounds=max_rounds,
-        default_gst=default_gst,
-    )
+def benor_run_key(atoms: Tuple = (), seed: int = 0, **params) -> QueryKey:
+    """Key for one Ben-Or randomized-consensus run; ``params`` are the
+    keywords of :func:`~repro.circumvention.run_ben_or_traced`."""
+    return _engine_run_key("benor-run", atoms, seed, params)
+
+
+def gst_run_key(atoms: Tuple = (), seed: int = 0, **params) -> QueryKey:
+    """Key for one DLS consensus run under a partial-synchrony schedule;
+    ``params`` are the keywords of
+    :func:`~repro.circumvention.run_gst_consensus`."""
+    return _engine_run_key("gst-run", atoms, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -317,75 +260,26 @@ def _handle_chaos_campaign(
     return report_to_payload(report), report.complete
 
 
-def _handle_detector_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.detectors import run_heartbeat_detector
-
-    run = run_heartbeat_detector(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        horizon=params.get("horizon", 40),
-        heartbeat_every=params.get("heartbeat_every", 3),
-        initial_timeout=params.get("initial_timeout", 4),
-        adaptive=params.get("adaptive", True),
-        jitter=params.get("jitter", 1),
-        budget=budget,
-    )
-    payload = {
+def _detector_payload(run) -> Dict[str, Any]:
+    return {
         "trace_fingerprint": run.trace.fingerprint(),
         "leaders": encode_canonical(tuple(sorted(run.leaders.items()))),
         "suspects": encode_canonical(tuple(sorted(run.suspects.items()))),
         "leader_changes": run.leader_changes,
         "last_change": run.last_change,
     }
-    return payload, run.complete
 
 
-def _handle_lease_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.leases import run_quorum_lease
-
-    run = run_quorum_lease(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        horizon=params.get("horizon", 48),
-        lease_len=params.get("lease_len", 8),
-        renew_margin=params.get("renew_margin", 2),
-        staleness_bound=params.get("staleness_bound", 8),
-        write_every=params.get("write_every", 3),
-        read_every=params.get("read_every", 5),
-        buggy_no_quorum=params.get("buggy_no_quorum", False),
-        budget=budget,
-    )
-    payload = {
+def _lease_payload(run) -> Dict[str, Any]:
+    return {
         "trace_fingerprint": run.trace.fingerprint(),
         "leases": encode_canonical(run.leases),
         "commits": run.commits,
     }
-    return payload, run.complete
 
 
-def _handle_benor_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.randomized import run_ben_or_traced
-
-    inputs = params.get("inputs")
-    run = run_ben_or_traced(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        t=params.get("t", 1),
-        inputs=None if inputs is None else tuple(inputs),
-        biased_coin=params.get("biased_coin", False),
-        max_events=params.get("max_events", 4000),
-        budget=budget,
-    )
-    payload = {
+def _benor_payload(run) -> Dict[str, Any]:
+    return {
         "trace_fingerprint": run.trace.fingerprint(),
         "decisions": encode_canonical(tuple(sorted(run.decisions.items()))),
         "phases": encode_canonical(tuple(sorted(run.phases.items()))),
@@ -394,31 +288,50 @@ def _handle_benor_run(
         "agreement": run.agreement,
         "validity": run.validity,
     }
-    return payload, run.complete
 
 
-def _handle_gst_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.gst import run_gst_consensus
-
-    run = run_gst_consensus(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        inputs=tuple(params.get("inputs", (0, 1, 1, 0))),
-        t=params.get("t", 1),
-        max_rounds=params.get("max_rounds", 64),
-        default_gst=params.get("default_gst"),
-        budget=budget,
-    )
-    payload = {
+def _gst_payload(run) -> Dict[str, Any]:
+    return {
         "trace_fingerprint": run.trace.fingerprint(),
         "decisions": encode_canonical(tuple(sorted(run.decisions.items()))),
         "rounds": run.rounds,
         "gst": run.gst,
         "crashed": encode_canonical(run.crashed),
     }
-    return payload, run.complete
+
+
+#: The engine-run kinds: kind -> (engine module, engine name, payload).
+#: The engine is looked up on every use, never bound at import, so a key
+#: carries exactly the engine's parameters and defaults, and the service
+#: imports no engine before it runs one.
+_ENGINE_RUNS = {
+    "detector-run": (
+        "..circumvention.detectors", "run_heartbeat_detector",
+        _detector_payload,
+    ),
+    "lease-run": (
+        "..circumvention.leases", "run_quorum_lease", _lease_payload,
+    ),
+    "benor-run": (
+        "..circumvention.randomized", "run_ben_or_traced", _benor_payload,
+    ),
+    "gst-run": ("..circumvention.gst", "run_gst_consensus", _gst_payload),
+}
+
+
+def _engine(kind: str):
+    module, name, _payload = _ENGINE_RUNS[kind]
+    return getattr(importlib.import_module(module, __package__), name)
+
+
+def _handle_engine_run(
+    kind: str, params: Dict[str, Any], budget: Optional[Budget], workers
+) -> Tuple[Dict[str, Any], bool]:
+    params = dict(params)
+    atoms = tuple(params.pop("atoms", ()))
+    seed = params.pop("seed", 0)
+    run = _engine(kind)(atoms, seed, budget=budget, **params)
+    return _ENGINE_RUNS[kind][2](run), run.complete
 
 
 _HANDLERS = {
@@ -426,11 +339,10 @@ _HANDLERS = {
     "valency": _handle_valency,
     "register-search": _handle_register_search,
     "chaos-campaign": _handle_chaos_campaign,
-    "detector-run": _handle_detector_run,
-    "lease-run": _handle_lease_run,
-    "benor-run": _handle_benor_run,
-    "gst-run": _handle_gst_run,
+    **{kind: partial(_handle_engine_run, kind) for kind in _ENGINE_RUNS},
 }
+
+QUERY_KINDS = tuple(_HANDLERS)
 
 
 def _compute_live(args: Tuple) -> Tuple[Dict[str, Any], bool]:

@@ -120,6 +120,13 @@ def enumerate_protocol_tables(values: int, modes: int) -> Iterator[ProtocolTable
             yield ProtocolTable(values, modes, tuple(try_choice), tuple(exit_choice))
 
 
+def protocol_table_count(values: int, modes: int) -> int:
+    """How many tables :func:`enumerate_protocol_tables` yields, without
+    building any: ``values + modes * values`` entry options in each of
+    ``modes * values`` slots, times ``values ** values`` exit tables."""
+    return (values + modes * values) ** (modes * values) * values ** values
+
+
 @dataclass
 class CandidateVerdict:
     """Model-checking outcome for one candidate protocol pair."""
@@ -183,22 +190,19 @@ def search_two_process_protocols(
     verdict list; see :func:`cremers_hibbard_certificate` for the certified
     conclusion.
     """
-    tables = list(enumerate_protocol_tables(values, modes))
-    verdicts: List[CandidateVerdict] = []
-    if symmetric:
-        candidates: Iterable[Tuple[ProtocolTable, ...]] = ((t, t) for t in tables)
-        total = len(tables)
-    else:
-        candidates = itertools.product(tables, repeat=2)
-        total = len(tables) ** 2
+    count = protocol_table_count(values, modes)
+    total = count if symmetric else count ** 2
     if max_candidates is not None and total > max_candidates:
         raise ModelError(
             f"protocol class has {total} candidates, above the limit "
             f"{max_candidates}; narrow the class"
         )
-    for pair in candidates:
-        verdicts.append(check_candidate(pair))
-    return verdicts
+    tables = list(enumerate_protocol_tables(values, modes))
+    if symmetric:
+        candidates: Iterable[Tuple[ProtocolTable, ...]] = ((t, t) for t in tables)
+    else:
+        candidates = itertools.product(tables, repeat=2)
+    return [check_candidate(pair) for pair in candidates]
 
 
 def cremers_hibbard_certificate(

@@ -38,6 +38,7 @@ from repro.chaos.targets import (
     LCRRingTarget,
     RacyLockTarget,
 )
+from repro.circumvention.consensus import run_rotating_consensus
 from repro.circumvention.detectors import run_heartbeat_detector
 from repro.circumvention.gst import blackout_atoms, run_gst_consensus
 from repro.circumvention.leases import run_quorum_lease
@@ -154,6 +155,14 @@ def _benor_scripted_crash() -> Trace:
     return run_ben_or_traced(atoms, 0, t=1, inputs=(0, 1, 0, 1)).trace
 
 
+def _rotating_consensus_run() -> Trace:
+    # Four rounds of scripted suspicion against the coordinator waste
+    # rounds 0-3; the first clean round decides — the detector-backed
+    # circumvention of FLP, possible side.
+    atoms = tuple(("suspect", r, p) for r in range(4) for p in range(3))
+    return run_rotating_consensus(atoms, 0).trace
+
+
 def _gst_blackout_run() -> Trace:
     # Total silence until GST round 5, then DLS decides within one
     # coordinator rotation — the partial-synchrony receipt's happy side.
@@ -191,6 +200,7 @@ CANONICAL_RUNS: Dict[str, Callable[[], Trace]] = {
     "lease-partition-run": _lease_partition_run,
     "benor-scripted-crash": _benor_scripted_crash,
     "gst-blackout-run": _gst_blackout_run,
+    "rotating-consensus-run": _rotating_consensus_run,
 }
 
 

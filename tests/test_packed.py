@@ -12,8 +12,7 @@ same public APIs.  These tests pin the contract from three sides:
   ``clear_intern_table`` cascades into every registered per-graph
   interner (a new interning epoch invalidates all packed state);
 * **fingerprint stability** — fixed-seed chaos campaigns produce the
-  same counterexample fingerprints at any worker count, so packing the
-  parallel fabric's id-table deltas changed no observable output.
+  same counterexample fingerprints at any worker count.
 """
 
 import pytest

@@ -1,11 +1,11 @@
 """The parallel fabric's headline guarantee: workers never change answers.
 
-Every consumer of :mod:`repro.parallel` — sharded chaos campaigns,
-parallel frontier expansion, the sharded register search — must produce
+Every consumer of :mod:`repro.parallel` — sharded chaos campaigns and
+the sharded register search — must produce
 results *bit-identical* to its serial twin, including under budget
 overdrafts and across resume boundaries.  Hypothesis drives the
 equivalence over seeds, shard widths and roster subsets; fixed-seed
-tests pin the budget fan-in and cross-mode resume paths; a subprocess
+tests pin the budget fan-in and resume paths; a subprocess
 test proves the whole pipeline is independent of ``PYTHONHASHSEED``.
 """
 
@@ -24,7 +24,6 @@ from repro.chaos.targets import (
     default_targets,
 )
 from repro.core.budget import Budget
-from repro.core.exploration import explore
 from repro.parallel import (
     SharedCounter,
     WorkerPool,
@@ -32,7 +31,6 @@ from repro.parallel import (
     split_chunks,
 )
 from repro.registers.exhaustive import search_register_consensus
-from repro.shared_memory.mutex.peterson import peterson_system
 
 
 def _campaign_summary(report):
@@ -43,10 +41,6 @@ def _campaign_summary(report):
         report.complete,
         report.resume_at,
     )
-
-
-def _explore_summary(result):
-    return (result.reachable, result.parents, result.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +134,6 @@ def test_campaign_budget_fanin_and_resume_match_serial():
     )
     assert serial_rest.complete
     assert _campaign_summary(sharded_rest) == _campaign_summary(serial_rest)
-
-
-# ---------------------------------------------------------------------------
-# Parallel exploration == serial exploration
-
-
-@settings(max_examples=5, deadline=None)
-@given(workers=st.integers(2, 4), include_inputs=st.booleans())
-def test_explore_equivalence(workers, include_inputs):
-    # Fresh automata per leg: the state-graph memo lives on the instance.
-    serial = explore(peterson_system(), include_inputs=include_inputs)
-    parallel = explore(
-        peterson_system(), include_inputs=include_inputs, workers=workers
-    )
-    assert _explore_summary(parallel) == _explore_summary(serial)
-
-
-def test_explore_budget_overdraft_and_cross_mode_resume():
-    """A budgeted parallel run stops on the same state set as serial, and
-    resuming it *serially* (or vice versa) completes to the same graph."""
-    budget = Budget(max_states=41)  # exploration charges per state found
-    serial_sys, parallel_sys = peterson_system(), peterson_system()
-    serial = explore(serial_sys, include_inputs=True, budget=budget)
-    parallel = explore(
-        parallel_sys, include_inputs=True, budget=budget, workers=3
-    )
-    assert not serial.complete
-    assert _explore_summary(parallel) == _explore_summary(serial)
-
-    # Cross-mode resume: parallel partial -> serial finish, and serial
-    # partial -> parallel finish, both land on the full serial graph.
-    full = explore(peterson_system(), include_inputs=True)
-    finish_serial = explore(parallel_sys, include_inputs=True)
-    finish_parallel = explore(serial_sys, include_inputs=True, workers=2)
-    assert _explore_summary(finish_serial) == _explore_summary(full)
-    assert _explore_summary(finish_parallel) == _explore_summary(full)
 
 
 # ---------------------------------------------------------------------------

@@ -271,33 +271,11 @@ class TestReplay:
 
 
 # ---------------------------------------------------------------------------
-# The adversary name unification keeps old import paths alive
+# One adversary hierarchy: every adversary is a FaultAdversary
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedAliases:
-    def test_sync_adversary_alias(self):
-        import repro.consensus.synchronous as sync_module
-
-        with pytest.warns(DeprecationWarning):
-            alias = sync_module.Adversary
-        assert alias is SyncAdversary
-
-    def test_package_level_alias(self):
-        import repro.consensus as consensus
-
-        with pytest.warns(DeprecationWarning):
-            alias = consensus.Adversary
-        assert alias is SyncAdversary
-
-    def test_greedy_adversary_alias(self):
-        import repro.core.scheduler as scheduler_module
-        from repro.core import GreedyScheduler
-
-        with pytest.warns(DeprecationWarning):
-            alias = scheduler_module.GreedyAdversary
-        assert alias is GreedyScheduler
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.scheduler as scheduler_module
 

@@ -62,6 +62,14 @@ class TestCremersHibbard:
                 3, modes=2, symmetric=False, max_candidates=1000
             )
 
+    @pytest.mark.parametrize("values,modes", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_table_count_matches_enumeration(self, values, modes):
+        from repro.shared_memory.lower_bounds import protocol_table_count
+
+        assert protocol_table_count(values, modes) == sum(
+            1 for _ in enumerate_protocol_tables(values, modes)
+        )
+
     def test_semaphore_candidate_is_classified_unfair(self):
         """Hand-build the 2-valued semaphore inside the searched class and
         confirm the checker classifies it exactly as the paper says."""
