@@ -19,6 +19,7 @@ import sys
 from typing import List, Optional
 
 from ..core.budget import Budget
+from ..parallel.pool import resolve_workers
 from .campaign import reproduce, run_campaign, write_artifacts
 from .corpus import ScheduleCorpus, replay_corpus
 from .targets import target_registry
@@ -143,6 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--workers",
         default=1,
+        type=resolve_workers,
         metavar="N",
         help="shard case execution across N worker processes "
         "(or 'auto' for one per CPU); results are bit-identical to "
@@ -213,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.max_seconds is not None
         else None
     )
-    workers = args.workers if args.workers == "auto" else int(args.workers)
     if args.store is not None:
         from ..service.service import run_campaign_cached
         from ..service.store import CertificateStore
@@ -226,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             master_seed=args.seed,
             shrink=not args.no_shrink,
             budget=budget,
-            workers=workers,
+            workers=args.workers,
         )
         print(f"campaign answered from {source}; {store.stats_line()}")
     else:
@@ -237,7 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             master_seed=args.seed,
             shrink=not args.no_shrink,
             budget=budget,
-            workers=workers,
+            workers=args.workers,
             keep_results=not streaming,
             corpus=corpus,
             mutations=args.mutations,

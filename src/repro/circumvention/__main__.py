@@ -42,6 +42,7 @@ import sys
 from typing import List, Optional
 
 from ..core.budget import Budget, BudgetExceeded
+from ..parallel.pool import resolve_workers
 from .consensus import run_rotating_consensus
 from .detectors import run_heartbeat_detector
 from .gst import blackout_atoms, run_gst_consensus
@@ -132,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     benor.add_argument("--seed", type=int, default=0, metavar="MASTER")
     benor.add_argument("--n", type=int, default=4)
     benor.add_argument("--t", type=int, default=1)
-    benor.add_argument("--workers", default=1)
+    benor.add_argument("--workers", type=resolve_workers, default=1)
     benor.add_argument(
         "--confidence", type=float, default=0.95,
         choices=(0.90, 0.95, 0.99),
@@ -270,11 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "benor":
-        workers = (
-            int(args.workers)
-            if str(args.workers).isdigit()
-            else args.workers
-        )
         sweep = expected_rounds(
             args.trials,
             args.seed,
@@ -283,7 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             biased_coin=args.biased_coin,
             max_events=args.max_events,
             confidence=args.confidence,
-            workers=workers,
+            workers=args.workers,
         )
         coin = "biased (pid parity)" if args.biased_coin else "fair"
         print(

@@ -194,19 +194,21 @@ def find_fooling_pair(
     Looks for runs R_a, R_b and a process p, nonfaulty in both, with equal
     views, where the *full honest decision sets* of the two runs differ —
     p must decide identically in both, so one run's other processes
-    disagree with p or with validity.
+    disagree with p or with validity.  At most ``max_runs`` runs are
+    simulated, in (input vector, crash pattern) enumeration order.
     """
-    runs: List[SyncRun] = []
-    for inputs in itertools.product((0, 1), repeat=n):
-        for adversary in enumerate_crash_adversaries(n, t, rounds):
-            runs.append(
-                run_synchronous(
-                    protocol, list(inputs), adversary=adversary, t=t,
-                    rounds=rounds, record_trace=False,
-                )
-            )
-            if len(runs) > max_runs:
-                break
+    scenarios = (
+        (inputs, adversary)
+        for inputs in itertools.product((0, 1), repeat=n)
+        for adversary in enumerate_crash_adversaries(n, t, rounds)
+    )
+    runs: List[SyncRun] = [
+        run_synchronous(
+            protocol, list(inputs), adversary=adversary, t=t,
+            rounds=rounds, record_trace=False,
+        )
+        for inputs, adversary in itertools.islice(scenarios, max_runs)
+    ]
     # Index runs by each honest process's view.
     by_view: Dict[Tuple, List[Tuple[SyncRun, Pid]]] = {}
     for run in runs:

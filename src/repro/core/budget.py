@@ -145,24 +145,6 @@ class BudgetMeter:
             "seconds": round(dt, 3),
         }
 
-    def absorb(self, spent: Dict[str, float]) -> None:
-        """Fan a worker's spend into this account (parallel budget fan-in).
-
-        ``spent`` is a :meth:`snapshot`-shaped mapping (or a
-        :class:`~repro.parallel.pool.SharedCounter` snapshot); steps and
-        states are charged in one lump each, so an overdraft raises the
-        same structured :class:`BudgetExceeded` a serial run would —
-        wall-clock seconds stay this meter's own (parent) clock.
-        """
-        steps = int(spent.get("steps", 0))
-        states = int(spent.get("states", 0))
-        if steps:
-            self.charge_steps(steps)
-        if states:
-            self.charge_states(states)
-        if not steps and not states:
-            self.check_time()
-
 
 class TandemMeter:
     """Charge several meters as one (campaign account + a run's own cap).

@@ -17,21 +17,12 @@ expands its graph once, not five times.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .automaton import Action, IOAutomaton, State
 from .budget import Budget, BudgetExceeded
-from .errors import InvariantViolation, SearchBudgetExceeded
+from .errors import InvariantViolation
 from .execution import Execution
 from .stategraph import state_graph
 
@@ -82,8 +73,6 @@ def explore(
     automaton: IOAutomaton,
     max_states: int = 100_000,
     include_inputs: bool = False,
-    actions_filter: Optional[Callable[[State, Action], bool]] = None,
-    initial_states: Optional[Iterable[State]] = None,
     budget: Optional[Budget] = None,
 ) -> ReachabilityResult:
     """Breadth-first search of the reachable state graph.
@@ -94,76 +83,31 @@ def explore(
 
     The expansion is served by the automaton's shared
     :class:`~repro.core.stategraph.StateGraph`, so repeated calls (and
-    the other helpers in this module) reuse one frontier.  Passing
-    ``actions_filter`` or ``initial_states`` asks a question about a
-    *different* graph or starting point, which gets a one-off frontier —
-    still backed by the memoized successor cache.
+    the other helpers in this module) reuse one frontier, starting from
+    the automaton's initial states.
 
     Raises :class:`SearchBudgetExceeded` when more than ``max_states``
     distinct states are discovered.  A :class:`~repro.core.budget.Budget`
     instead caps the search *gracefully*: on overdraft the function
     returns a partial :class:`ReachabilityResult` (``complete=False``)
-    rather than raising, and — on the default shared-frontier path — a
-    later call resumes the same frontier where the budget ran out.
+    rather than raising, and a later call resumes the same frontier
+    where the budget ran out.
     """
     graph = state_graph(automaton)
     meter = budget.meter(automaton.name) if budget is not None else None
-    if actions_filter is None and initial_states is None:
-        frontier = graph.frontier(include_inputs)
-        try:
-            frontier.expand_all(max_states, meter)
-        except BudgetExceeded as overdraft:
-            return ReachabilityResult(
-                automaton,
-                set(frontier.parents),
-                dict(frontier.parents),
-                complete=False,
-                budget_exceeded=overdraft,
-            )
+    frontier = graph.frontier(include_inputs)
+    try:
+        frontier.expand_all(max_states, meter)
+    except BudgetExceeded as overdraft:
         return ReachabilityResult(
-            automaton, set(frontier.parents), dict(frontier.parents), complete=True
+            automaton,
+            set(frontier.parents),
+            dict(frontier.parents),
+            complete=False,
+            budget_exceeded=overdraft,
         )
-
-    starts = list(
-        initial_states if initial_states is not None else automaton.initial_states()
-    )
-    reachable: Set[State] = set()
-    parents: Dict[State, Optional[Tuple[State, Action]]] = {}
-    queue: deque = deque()
-    for s in starts:
-        if s not in reachable:
-            reachable.add(s)
-            parents[s] = None
-            queue.append(s)
-    overdraft: Optional[BudgetExceeded] = None
-    while queue:
-        state = queue.popleft()
-        try:
-            if meter is not None:
-                meter.check_time()
-            for action, succ in graph.transitions(state, include_inputs):
-                if actions_filter is not None and not actions_filter(state, action):
-                    continue
-                if succ in reachable:
-                    continue
-                if len(reachable) >= max_states:
-                    raise SearchBudgetExceeded(
-                        f"exploration of {automaton.name} exceeded {max_states} states"
-                    )
-                if meter is not None:
-                    meter.charge_states()
-                reachable.add(succ)
-                parents[succ] = (state, action)
-                queue.append(succ)
-        except BudgetExceeded as exc:
-            overdraft = exc
-            break
     return ReachabilityResult(
-        automaton,
-        reachable,
-        parents,
-        complete=overdraft is None,
-        budget_exceeded=overdraft,
+        automaton, set(frontier.parents), dict(frontier.parents), complete=True
     )
 
 

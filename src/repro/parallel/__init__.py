@@ -1,27 +1,25 @@
-"""The parallel execution fabric: multiprocess campaigns and searches.
+"""The parallel execution fabric: one ordered, streaming process pool.
 
-Every CPU-bound search in this repository — chaos campaigns, exhaustive
-register-protocol enumeration, expected-round sweeps — is a
-deterministic function of ``(protocol, inputs, adversary, seed)`` thanks
-to the unified runtime's seed plumbing (:func:`repro.core.runtime.derive_seed`).
-That makes the workloads embarrassingly parallel *and* checkable: the
-work partitions into independent shards whose results merge
-order-independently, exactly the property extension-based and FLP-style
-proof reconstructions exploit when they explore independent branches of
-the execution tree in any order.
+Chaos campaigns, expected-round sweeps and batched certificate queries
+are deterministic functions of ``(protocol, inputs, adversary, seed)``
+thanks to the unified runtime's seed plumbing
+(:func:`repro.core.runtime.derive_seed`).  That makes them embarrassingly
+parallel *and* checkable: each item can run in any worker, and the
+parent folds the results back in submission order.
 
-The fabric has two layers:
+The fabric is one primitive, :meth:`WorkerPool.map_stream` (bounded
+window, submission order, a plain loop at ``workers=1``), plus
+:func:`resolve_workers`.  It has three consumers, each measured to beat
+serial on two CPUs:
 
-* :mod:`repro.parallel.pool` — process-pool plumbing on the stdlib only
-  (:class:`WorkerPool` over :class:`concurrent.futures.ProcessPoolExecutor`,
-  a cross-process :class:`SharedCounter` for budget fan-in,
-  :func:`resolve_workers`, :func:`split_chunks`);
-* consumers — :func:`repro.chaos.campaign.run_campaign`,
-  :func:`repro.registers.exhaustive.search_register_consensus` and
-  :func:`repro.circumvention.expected_rounds` take ``workers=N``.
+* :func:`repro.chaos.campaign.run_campaign` (``workers=N``);
+* :func:`repro.circumvention.expected_rounds` (``workers=N``);
+* :class:`repro.service.QueryService` with ``workers > 1``, which fans
+  a batch of two or more misses out one engine run per worker.
 
-State-graph exploration (:func:`repro.core.exploration.explore`) is
-serial.
+Everything else is serial.  State-graph exploration and the exhaustive
+register search (:func:`repro.registers.exhaustive.search_register_consensus`)
+each finish in tens of milliseconds and measured slower on a pool.
 
 The headline guarantee, enforced by ``tests/test_parallel_fabric.py``
 and the golden-trace suite: **every result is bit-identical for
@@ -29,16 +27,9 @@ and the golden-trace suite: **every result is bit-identical for
 optimization; it never changes an answer.
 """
 
-from .pool import (
-    SharedCounter,
-    WorkerPool,
-    resolve_workers,
-    split_chunks,
-)
+from .pool import WorkerPool, resolve_workers
 
 __all__ = [
-    "SharedCounter",
     "WorkerPool",
     "resolve_workers",
-    "split_chunks",
 ]

@@ -15,13 +15,6 @@ Design rules, shared by every consumer:
   loaded interpreter, so pools are cheap enough for test-sized work;
   platforms without it fall back to ``spawn`` transparently (everything
   shipped to workers is picklable).
-
-:class:`SharedCounter` is the budget fan-in channel: workers add the
-steps/states they burn to one cross-process account, so the parent can
-observe aggregate spend while shards are in flight and workers can
-stop early once the aggregate passes a limit — an *optimization* only,
-since the parent re-charges its own meter deterministically during the
-merge.
 """
 
 from __future__ import annotations
@@ -31,16 +24,7 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -50,16 +34,16 @@ def resolve_workers(workers) -> int:
     """Normalize a ``workers=`` argument to a concrete positive count.
 
     ``None``, ``0`` and ``1`` all mean serial; ``"auto"`` means one
-    worker per available CPU.  Anything else must be a positive integer.
+    worker per available CPU.  Anything else must be a positive integer
+    or its decimal string, so the CLIs use this as their argparse
+    ``type=`` and a bad ``--workers`` is a usage error.
     """
-    if workers in (None, 0, 1):
-        return 1
     if workers == "auto":
         return max(1, os.cpu_count() or 1)
-    count = int(workers)
-    if count < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    return count
+    count = 0 if workers is None else int(workers)
+    if count < 0:
+        raise ValueError(f"workers must be >= 0, got {workers!r}")
+    return max(count, 1)
 
 
 def pool_context():
@@ -70,73 +54,6 @@ def pool_context():
     )
 
 
-def split_chunks(items: Sequence[T], chunks: int) -> List[List[T]]:
-    """Split ``items`` into at most ``chunks`` contiguous, ordered chunks.
-
-    Contiguity is what keeps merges deterministic: concatenating the
-    per-chunk results in chunk order reproduces the serial iteration
-    order exactly.  Sizes differ by at most one; empty chunks are
-    dropped.
-    """
-    if chunks < 1:
-        raise ValueError(f"need at least one chunk, got {chunks}")
-    n = len(items)
-    size, remainder = divmod(n, chunks)
-    out: List[List[T]] = []
-    cursor = 0
-    for i in range(chunks):
-        width = size + (1 if i < remainder else 0)
-        if width == 0:
-            continue
-        out.append(list(items[cursor:cursor + width]))
-        cursor += width
-    return out
-
-
-class SharedCounter:
-    """A cross-process (steps, states) account for budget fan-in.
-
-    Workers :meth:`add` what they burn; the parent (or any worker)
-    reads :meth:`snapshot` and :meth:`exceeded`.  Backed by two
-    lock-protected ``multiprocessing.Value`` cells, inherited by pool
-    workers through the process-creation channel (pass the counter via
-    ``initargs``, never through a task submission).
-    """
-
-    def __init__(self, ctx=None):
-        ctx = ctx if ctx is not None else pool_context()
-        self._lock = ctx.Lock()
-        self._steps = ctx.Value("q", 0, lock=False)
-        self._states = ctx.Value("q", 0, lock=False)
-
-    def add(self, steps: int = 0, states: int = 0) -> None:
-        with self._lock:
-            self._steps.value += steps
-            self._states.value += states
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"steps": self._steps.value, "states": self._states.value}
-
-    def exceeded(
-        self,
-        max_steps: Optional[int] = None,
-        max_states: Optional[int] = None,
-    ) -> bool:
-        """Has the aggregate spend passed either limit?
-
-        Workers poll this to stop early once the *fleet* has spent the
-        budget, even if their own shard is still cheap.  Advisory only:
-        the parent's deterministic meter is what actually raises.
-        """
-        spent = self.snapshot()
-        if max_steps is not None and spent["steps"] >= max_steps:
-            return True
-        if max_states is not None and spent["states"] >= max_states:
-            return True
-        return False
-
-
 def _run_chunk(fn: Callable[[T], R], batch: List[T]) -> List[R]:
     """Worker-side body of one :meth:`WorkerPool.map_stream` chunk."""
     return [fn(item) for item in batch]
@@ -145,52 +62,19 @@ def _run_chunk(fn: Callable[[T], R], batch: List[T]) -> List[R]:
 class WorkerPool:
     """A process pool with a serial in-process fallback at ``workers=1``.
 
-    At ``workers=1`` no subprocess is created and :meth:`map` is a plain
-    loop (the initializer runs in-process), so consumers write one code
-    path and serial callers pay zero fabric overhead.  Use as a context
-    manager; exit shuts the pool down and waits for the workers.
+    At ``workers=1`` no subprocess is created and :meth:`map_stream` is
+    a plain generator loop, so consumers write one code path and serial
+    callers pay zero fabric overhead.  Use as a context manager; exit
+    shuts the pool down and waits for the workers.
     """
 
-    def __init__(
-        self,
-        workers,
-        initializer: Optional[Callable] = None,
-        initargs: tuple = (),
-    ):
+    def __init__(self, workers):
         self.workers = resolve_workers(workers)
         self._executor: Optional[ProcessPoolExecutor] = None
         if self.workers > 1:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=pool_context(),
-                initializer=initializer,
-                initargs=initargs,
+                max_workers=self.workers, mp_context=pool_context()
             )
-        elif initializer is not None:
-            initializer(*initargs)
-
-    @property
-    def parallel(self) -> bool:
-        return self._executor is not None
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        chunksize: Optional[int] = None,
-    ) -> List[R]:
-        """Apply ``fn`` to every item, preserving submission order.
-
-        Ordered results are the merge-determinism primitive: consumers
-        feed shards in serial order and fold the returned list left to
-        right.
-        """
-        items = list(items)
-        if self._executor is None:
-            return [fn(item) for item in items]
-        if chunksize is None:
-            chunksize = max(1, len(items) // (self.workers * 4))
-        return list(self._executor.map(fn, items, chunksize=chunksize))
 
     def map_stream(
         self,
@@ -202,11 +86,10 @@ class WorkerPool:
         """Apply ``fn`` to a (possibly unbounded) stream, yielding
         ``(item, result)`` pairs in submission order.
 
-        The constant-memory sibling of :meth:`map`: instead of
-        materializing every input and every result, at most ``window``
-        chunks of ``chunk`` items are in flight at once — the input
-        iterator is pulled lazily as results drain, so a million-case
-        campaign holds a few hundred cases in memory, never the campaign.
+        Constant memory: at most ``window`` chunks of ``chunk`` items are
+        in flight at once — the input iterator is pulled lazily as
+        results drain, so a million-case campaign holds a few hundred
+        cases in memory, never the campaign.
         Order is preserved by construction (a FIFO of futures), which is
         what lets the parent fold worker outcomes exactly as a serial
         loop would — the streaming form of the parent-is-authoritative

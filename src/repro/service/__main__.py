@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from ..core.budget import Budget
+from ..parallel.pool import resolve_workers
 from .keys import QueryKey
 from .service import (
     QueryService,
@@ -92,8 +93,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="certificate store directory (created on first write)",
     )
     parser.add_argument(
-        "--workers", default=1, metavar="N",
-        help="worker processes for live fallbacks ('auto' = one per CPU)",
+        "--workers", default=1, type=resolve_workers, metavar="N",
+        help="worker processes for a live campaign fallback ('auto' = one "
+        "per CPU); every other query kind runs serially",
     )
     parser.add_argument(
         "--max-seconds", type=float, default=None,
@@ -176,8 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.max_seconds is not None
         else None
     )
-    workers = args.workers if args.workers == "auto" else int(args.workers)
-    service = QueryService(store, budget=budget, workers=workers)
+    service = QueryService(store, budget=budget, workers=args.workers)
     key = _key_from_args(args)
     assert key is not None
     answer = service.resolve(key)

@@ -28,12 +28,13 @@ Batching: :meth:`QueryService.submit` returns a shared
 :class:`PendingQuery` handle, deduplicating identical in-flight requests
 by key fingerprint; :meth:`~QueryService.drain` (or any handle's
 ``result()``) resolves every pending request at once, checking the store
-first and fanning the remaining misses out across the PR-4
-:class:`~repro.parallel.pool.WorkerPool` when the service was built with
-``workers > 1``.  A single serial miss instead threads ``workers`` into
-the engine itself, so one big register search or campaign shards
-internally.  The service's :class:`~repro.core.budget.Budget` is
-threaded into every live fallback that accepts one.
+first and streaming two or more remaining misses through
+:meth:`~repro.parallel.pool.WorkerPool.map_stream`, one engine run per
+worker, when the service was built with ``workers > 1``.  A single miss
+instead threads ``workers`` into the engine itself, so one big chaos
+campaign shards internally; every other engine runs serially.  The
+service's :class:`~repro.core.budget.Budget` is threaded into every
+live fallback that accepts one.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def _handle_register_search(
     from ..registers.exhaustive import search_register_consensus
 
     outcome = search_register_consensus(
-        depth=params.get("depth", 2), budget=budget, workers=workers
+        depth=params.get("depth", 2), budget=budget
     )
     return register_outcome_payload(outcome), outcome.complete
 
@@ -407,9 +408,9 @@ class QueryService:
     policy: an optional :class:`~repro.core.budget.Budget` threaded into
     budget-aware engines, and a ``workers`` count used either to fan
     batched misses out across processes or (for a single miss) passed
-    into the engine's own sharding.  Counters: ``live`` live
-    computations, ``deduped`` submissions coalesced onto an in-flight
-    handle; store hits/misses live on ``store.stats``.
+    to the engine, where only a chaos campaign uses it.  Counters:
+    ``live`` live computations, ``deduped`` submissions coalesced onto
+    an in-flight handle; store hits/misses live on ``store.stats``.
     """
 
     def __init__(
@@ -461,14 +462,16 @@ class QueryService:
         if nworkers > 1 and len(misses) > 1:
             # Many misses: one engine run per worker, serial inside.
             with WorkerPool(nworkers) as pool:
-                outcomes = pool.map(
-                    _compute_live,
-                    [(h.key.describe(), self.budget) for h in misses],
-                    chunksize=1,
-                )
+                outcomes = [
+                    outcome
+                    for _args, outcome in pool.map_stream(
+                        _compute_live,
+                        [(h.key.describe(), self.budget) for h in misses],
+                    )
+                ]
         else:
             # Single miss (or serial service): let the engine itself
-            # shard across the configured workers.
+            # use the configured workers.
             outcomes = [
                 _HANDLERS[h.key.kind](
                     h.key.params_dict(), self.budget, self.workers

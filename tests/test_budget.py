@@ -138,6 +138,10 @@ class TestRegisterSearchBudget:
         full = search_register_consensus(depth=1)
         assert full.complete
 
+        part = search_register_consensus(depth=1, budget=Budget(max_steps=20))
+        assert not part.complete and part.resume_at == 20
+        assert search_register_consensus(depth=1, resume=part) == full
+
         sliced = search_register_consensus(depth=1, budget=Budget(max_steps=5))
         slices = 1
         while not sliced.complete:

@@ -323,6 +323,12 @@ class TestCommandLine:
         assert code == 1
         assert "planted bug" in capsys.readouterr().err
 
+    def test_bad_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            chaos_main(["--runs", "1", "--workers", "abc"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_reproduce_flag_verifies_artifact(self, report, tmp_path, capsys):
         cx = report.counterexamples_for("eager-majority-async")[0]
         path = write_counterexample(cx, str(tmp_path))

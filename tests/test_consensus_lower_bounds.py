@@ -87,3 +87,21 @@ class TestFoolingPair:
         da = frozenset(v for v in pair.run_a.honest_decisions().values())
         db = frozenset(v for v in pair.run_b.honest_decisions().values())
         assert da != db
+
+    def test_max_runs_caps_every_simulated_run(self, monkeypatch):
+        import repro.consensus.lower_bounds as lower_bounds
+
+        calls = []
+        real = lower_bounds.run_synchronous
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bounds, "run_synchronous", counting)
+        find_fooling_pair(
+            FloodSet(rounds_override=1), n=3, t=1, rounds=1, max_runs=10
+        )
+        # 8 input vectors x 13 crash patterns = 104 runs uncapped; the cap
+        # must hold across input vectors, not only within one.
+        assert len(calls) == 10

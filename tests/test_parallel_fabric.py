@@ -1,12 +1,14 @@
 """The parallel fabric's headline guarantee: workers never change answers.
 
-Every consumer of :mod:`repro.parallel` — sharded chaos campaigns and
-the sharded register search — must produce
-results *bit-identical* to its serial twin, including under budget
+:meth:`repro.parallel.WorkerPool.map_stream` is the one parallel
+primitive; its consumers — chaos campaigns here, the Ben-Or
+``expected_rounds`` sweep in ``test_benor.py`` and the query service's
+batched misses in ``test_service_query.py`` — must produce results
+*bit-identical* to their serial twins, including under budget
 overdrafts and across resume boundaries.  Hypothesis drives the
-equivalence over seeds, shard widths and roster subsets; fixed-seed
-tests pin the budget fan-in and resume paths; a subprocess
-test proves the whole pipeline is independent of ``PYTHONHASHSEED``.
+campaign equivalence over seeds, shard widths and roster subsets; a
+fixed-seed test pins the budget and resume path; a subprocess test
+proves the whole pipeline is independent of ``PYTHONHASHSEED``.
 """
 
 import subprocess
@@ -24,13 +26,7 @@ from repro.chaos.targets import (
     default_targets,
 )
 from repro.core.budget import Budget
-from repro.parallel import (
-    SharedCounter,
-    WorkerPool,
-    resolve_workers,
-    split_chunks,
-)
-from repro.registers.exhaustive import search_register_consensus
+from repro.parallel import WorkerPool, resolve_workers
 
 
 def _campaign_summary(report):
@@ -53,34 +49,26 @@ def test_resolve_workers():
     assert resolve_workers(1) == 1
     assert resolve_workers(3) == 3
     assert resolve_workers("auto") >= 1
+    assert resolve_workers("2") == 2
+    assert resolve_workers("0") == 1
     with pytest.raises(ValueError):
         resolve_workers(-2)
-
-
-@given(st.lists(st.integers(), max_size=40), st.integers(1, 8))
-def test_split_chunks_partitions_in_order(items, chunks):
-    parts = split_chunks(items, chunks)
-    assert [x for part in parts for x in part] == items
-    assert all(part for part in parts)
-    assert len(parts) <= chunks
-
-
-def test_shared_counter_aggregates():
-    counter = SharedCounter()
-    counter.add(steps=3, states=5)
-    counter.add(steps=2)
-    assert counter.snapshot() == {"steps": 5, "states": 5}
-    assert not counter.exceeded(max_steps=6, max_states=6)
-    assert counter.exceeded(max_steps=5)  # at the limit == spent
-    assert counter.exceeded(max_states=3)
-    assert not counter.exceeded()
+    with pytest.raises(ValueError):
+        resolve_workers("abc")
 
 
 def test_worker_pool_serial_fallback_runs_in_process():
     seen = []
-    with WorkerPool(1, initializer=seen.append, initargs=("init",)) as pool:
-        assert pool.map(len, [(1, 2), (3,), ()]) == [2, 1, 0]
-    assert seen == ["init"]  # workers=1 never leaves the parent process
+
+    def record(item):  # a closure: it could not be pickled to a worker
+        seen.append(item)
+        return len(item)
+
+    with WorkerPool(1) as pool:
+        assert list(pool.map_stream(record, [(1, 2), (3,), ()])) == [
+            ((1, 2), 2), ((3,), 1), ((), 0),
+        ]
+    assert seen == [(1, 2), (3,), ()]  # workers=1 never leaves the parent
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +122,6 @@ def test_campaign_budget_fanin_and_resume_match_serial():
     )
     assert serial_rest.complete
     assert _campaign_summary(sharded_rest) == _campaign_summary(serial_rest)
-
-
-# ---------------------------------------------------------------------------
-# Sharded register search == serial register search
-
-
-def test_register_search_equivalence_full_and_budgeted():
-    serial = search_register_consensus(depth=1)
-    assert search_register_consensus(depth=1, workers=3) == serial
-
-    budget = Budget(max_steps=20)
-    part_serial = search_register_consensus(depth=1, budget=budget)
-    part_sharded = search_register_consensus(depth=1, budget=budget, workers=4)
-    assert not part_serial.complete and part_serial.resume_at == 20
-    assert part_sharded == part_serial
-
-    rest_serial = search_register_consensus(depth=1, resume=part_serial)
-    rest_sharded = search_register_consensus(
-        depth=1, resume=part_sharded, workers=2
-    )
-    assert rest_serial == serial
-    assert rest_sharded == serial
 
 
 # ---------------------------------------------------------------------------

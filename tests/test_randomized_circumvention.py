@@ -177,6 +177,12 @@ class TestCLI:
         assert rc == 2
         assert "STALLED" in capsys.readouterr().out
 
+    def test_benor_bad_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            circumvention_main(["benor", "--trials", "1", "--workers", "abc"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_gst_decides_exits_0(self, capsys):
         rc = circumvention_main(["gst", "--gst", "5"])
         out = capsys.readouterr().out

@@ -22,11 +22,13 @@ from repro.service import (
     CertificateStore,
     QueryKey,
     QueryService,
+    campaign_key,
     flp_key,
     register_search_key,
     run_campaign_cached,
     valency_key,
 )
+from repro.service.__main__ import main as service_main
 
 
 @pytest.fixture
@@ -84,6 +86,35 @@ class TestResolution:
         assert [a.key for a in answers] == keys
         assert answers[0].result["bivalent"] is True
         assert answers[2].result["bivalent"] is False
+
+    def test_parallel_batched_misses_match_serial(self, tmp_path):
+        """Two or more misses at ``workers=2`` fan out across the pool;
+        answers, sources and stored entries equal the serial run's."""
+        keys = [
+            campaign_key(("floodset-truncated-crash",), runs=2,
+                         shrink_checks=8),
+            flp_key("first-message-wins", n=2),
+            campaign_key(("lcr-ring",), runs=2, shrink_checks=8),
+        ]
+        runs = {}
+        for workers in (1, 2):
+            store = CertificateStore(str(tmp_path / f"w{workers}"))
+            service = QueryService(store, workers=workers)
+            answers = service.resolve_many(keys)
+            entries = {}
+            for _kind, fingerprint in store.entries():
+                path = store._object_path(fingerprint)
+                with open(path, "rb") as handle:
+                    entries[fingerprint] = handle.read()
+            runs[workers] = (
+                [(a.key, a.result, a.source, a.complete) for a in answers],
+                entries,
+                service.live,
+            )
+        serial, parallel = runs[1], runs[2]
+        assert [source for _k, _r, source, _c in serial[0]] == ["live"] * 3
+        assert len(serial[1]) == 3
+        assert parallel == serial
 
     def test_unknown_kind_rejected_at_submit(self, store):
         service = QueryService(store)
@@ -203,3 +234,15 @@ class TestCampaignCaching:
         )
         assert source == "live"  # a different seed is a different question
         assert store.stats["puts"] == 2
+
+
+class TestCommandLine:
+    def test_bad_workers_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            service_main(
+                ["--store", str(tmp_path / "certs"), "--workers", "abc",
+                 "flp", "--protocol", "quorum-vote"]
+            )
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "certs")
