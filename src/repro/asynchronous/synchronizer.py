@@ -7,9 +7,9 @@ time, the beta synchronizer O(n) messages for O(tree depth) time — and no
 synchronizer beats both at once.
 
 This module runs both synchronizers in a discrete-event simulation with
-unit hop delay over an arbitrary networkx graph, counting overhead
-messages and elapsed time per pulse, so the E9 bench can plot the
-tradeoff's two corners.
+unit hop delay over any adjacency mapping ``{node: neighbours}``,
+counting overhead messages and elapsed time per pulse, so the E9 bench
+can plot the tradeoff's two corners.
 
 Mechanics (classic):
 
@@ -29,7 +29,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
+from ..core.adjacency import Adjacency, bfs_parents, edge_count
+from ..core.errors import ModelError
 
 
 @dataclass
@@ -71,10 +72,10 @@ class _EventSim:
         return dest, msg
 
 
-def run_alpha_synchronizer(graph: nx.Graph, pulses: int) -> SynchronizerOutcome:
+def run_alpha_synchronizer(graph: Adjacency, pulses: int) -> SynchronizerOutcome:
     """Simulate ``pulses`` pulses of a broadcast payload under alpha."""
-    nodes = list(graph.nodes)
-    neighbors = {v: sorted(graph.neighbors(v)) for v in nodes}
+    nodes = list(graph)
+    neighbors = {v: sorted(graph[v]) for v in nodes}
     sim = _EventSim()
     payload = 0
     overhead = 0
@@ -130,7 +131,7 @@ def run_alpha_synchronizer(graph: nx.Graph, pulses: int) -> SynchronizerOutcome:
     return SynchronizerOutcome(
         name="alpha",
         n=len(nodes),
-        edges=graph.number_of_edges(),
+        edges=edge_count(graph),
         pulses=pulses,
         total_time=sim.now,
         payload_messages=payload,
@@ -139,16 +140,15 @@ def run_alpha_synchronizer(graph: nx.Graph, pulses: int) -> SynchronizerOutcome:
 
 
 def run_beta_synchronizer(
-    graph: nx.Graph, pulses: int, root: int = 0
+    graph: Adjacency, pulses: int, root: int = 0
 ) -> SynchronizerOutcome:
     """Simulate ``pulses`` pulses under beta (BFS spanning tree)."""
-    nodes = list(graph.nodes)
-    neighbors = {v: sorted(graph.neighbors(v)) for v in nodes}
-    tree = nx.bfs_tree(graph, root)
-    children = {v: sorted(tree.successors(v)) for v in nodes}
-    parent = {
-        v: next(iter(tree.predecessors(v)), None) for v in nodes
-    }
+    nodes = list(graph)
+    neighbors = {v: sorted(graph[v]) for v in nodes}
+    parent = bfs_parents(graph, root)
+    if len(parent) != len(nodes):
+        raise ModelError("the beta synchronizer needs a connected graph")
+    children = {v: [u for u in neighbors[v] if parent[u] == v] for v in nodes}
     sim = _EventSim()
     payload = 0
     overhead = 0
@@ -213,7 +213,7 @@ def run_beta_synchronizer(
     return SynchronizerOutcome(
         name="beta",
         n=len(nodes),
-        edges=graph.number_of_edges(),
+        edges=edge_count(graph),
         pulses=pulses,
         total_time=sim.now,
         payload_messages=payload,
@@ -221,7 +221,7 @@ def run_beta_synchronizer(
     )
 
 
-def tradeoff_comparison(graph: nx.Graph, pulses: int = 5
+def tradeoff_comparison(graph: Adjacency, pulses: int = 5
                         ) -> Dict[str, SynchronizerOutcome]:
     """Run both synchronizers on the same graph; the Awerbuch corners."""
     return {

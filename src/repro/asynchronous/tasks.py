@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
-import networkx as nx
-
+from ..core.adjacency import connected_components, is_connected
 from ..core.errors import ModelError
 from ..impossibility.certificate import ImpossibilityCertificate
 
@@ -60,22 +59,23 @@ class DecisionTask:
         return frozenset(out)
 
 
-def _adjacency_graph(vectors: Iterable[Vector]) -> nx.Graph:
-    """The graph with an edge between vectors differing in one coordinate."""
-    graph = nx.Graph()
+def _adjacency_graph(vectors: Iterable[Vector]) -> Dict[Vector, List[Vector]]:
+    """The adjacency mapping with an edge between vectors differing in
+    one coordinate."""
     vectors = list(vectors)
-    graph.add_nodes_from(vectors)
+    graph: Dict[Vector, List[Vector]] = {vector: [] for vector in vectors}
     for a, b in itertools.combinations(vectors, 2):
         if sum(1 for x, y in zip(a, b) if x != y) == 1:
-            graph.add_edge(a, b)
+            graph[a].append(b)
+            graph[b].append(a)
     return graph
 
 
-def input_graph(task: DecisionTask) -> nx.Graph:
+def input_graph(task: DecisionTask) -> Dict[Vector, List[Vector]]:
     return _adjacency_graph(task.inputs)
 
 
-def decision_graph(task: DecisionTask) -> nx.Graph:
+def decision_graph(task: DecisionTask) -> Dict[Vector, List[Vector]]:
     return _adjacency_graph(task.outputs)
 
 
@@ -94,8 +94,8 @@ class SolvabilityVerdict:
 def analyze_task(task: DecisionTask) -> SolvabilityVerdict:
     return SolvabilityVerdict(
         task_name=task.name,
-        input_connected=nx.is_connected(input_graph(task)),
-        decision_connected=nx.is_connected(decision_graph(task)),
+        input_connected=is_connected(input_graph(task)),
+        decision_connected=is_connected(decision_graph(task)),
     )
 
 
@@ -114,7 +114,7 @@ def moran_wolfstahl_certificate(task: DecisionTask) -> ImpossibilityCertificate:
             f"connected: {verdict.decision_connected})"
         )
     components = [
-        sorted(c) for c in nx.connected_components(decision_graph(task))
+        sorted(c) for c in connected_components(decision_graph(task))
     ]
     return ImpossibilityCertificate(
         claim=(

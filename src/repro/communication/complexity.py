@@ -21,10 +21,9 @@ the bounds' separations: EQ on k bits costs exactly k+1, matching its
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
 
 from ..core.errors import ModelError
 
@@ -139,9 +138,26 @@ def fooling_set_bound(matrix: Matrix) -> int:
     return math.ceil(math.log2(size)) if size > 1 else 0
 
 
+def _rank(matrix: Matrix) -> int:
+    """The exact rank of ``matrix`` over the rationals: each nonzero
+    pivot row is eliminated from the rows left, in ``Fraction`` arithmetic."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, x in enumerate(pivot) if x), None)
+        if col is not None:
+            rank += 1
+            rows = [
+                [x - row[col] / pivot[col] * y for x, y in zip(row, pivot)]
+                for row in rows
+            ]
+    return rank
+
+
 def log_rank_bound(matrix: Matrix) -> int:
     """D(f) >= ceil(log2 rank(M)) over the reals."""
-    rank = int(np.linalg.matrix_rank(np.array(matrix, dtype=float)))
+    rank = _rank(matrix)
     return math.ceil(math.log2(rank)) if rank > 1 else 0
 
 

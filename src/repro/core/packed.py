@@ -30,7 +30,9 @@ Id lifetime rules:
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 UNEXPANDED = -1
 
@@ -201,17 +203,6 @@ class PackedGraph:
             return (UNEXPANDED, UNEXPANDED)
         return (self._start[sid], self._end[sid])
 
-    def edges(self, sid: int) -> Tuple[Tuple[Any, int], ...]:
-        """``(label, successor_id)`` pairs of ``sid``'s row."""
-        start, end = self.row_bounds(sid)
-        if start == UNEXPANDED:
-            return ()
-        succ = self._succ
-        labels = self._labels
-        return tuple(
-            (labels[i], succ[i]) for i in range(start, end)
-        )
-
     # -- persistence ---------------------------------------------------------
 
     def export_rows(self) -> Dict[str, Any]:
@@ -317,26 +308,52 @@ class PackedGraph:
         }
 
 
-def expand_packed(
-    packed: PackedGraph,
-    sid: int,
-    sweep: Callable[[Any], Iterable[Tuple[Any, Any]]],
-) -> None:
-    """Expand ``sid`` through ``sweep(state) -> (label, successor_state)``.
+def strongly_connected_components(
+    roots: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> Iterator[List[int]]:
+    """Tarjan's SCCs of the graph reachable from ``roots``, sinks first.
 
-    The glue between a domain successor function (``enabled``/``apply``,
-    ``events``/``apply``) and the packed store: successors are interned
-    and the row is recorded in sweep order.  No-op if already expanded.
+    Iterative over integer ids.  ``successors(sid)`` is called once per
+    node, when the search first reaches it, and returns the ids to
+    descend into: the place for a caller's lazy expansion (which may
+    intern new ids), budget and boundary filtering.  No edge runs from a
+    yielded component to one yielded later, so a consumer that labels
+    each component on arrival sees its successors already labelled.
     """
-    if packed.is_expanded(sid):
-        return
-    intern = packed.interner.intern
-    labels: List[Any] = []
-    succ_ids: List[int] = []
-    for label, succ in sweep(packed.interner.state_of(sid)):
-        labels.append(label)
-        succ_ids.append(intern(succ))
-    packed.add_row(sid, labels, succ_ids)
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack_at: Dict[int, int] = {}  # position on scc_stack, while on it
+    scc_stack: List[int] = []
+    work: List[Tuple[int, Iterator[int]]] = []
+
+    def push(sid: int) -> None:
+        index[sid] = low[sid] = len(index)
+        stack_at[sid] = len(scc_stack)
+        scc_stack.append(sid)
+        work.append((sid, iter(successors(sid))))
+
+    for root in roots:
+        if root in index:
+            continue
+        push(root)
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    push(child)
+                    break
+                if child in stack_at and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component = scc_stack[stack_at[node]:]
+                    del scc_stack[stack_at[node]:]
+                    for member in component:
+                        del stack_at[member]
+                    yield component
 
 
 class IdFlags:

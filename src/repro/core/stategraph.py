@@ -192,8 +192,6 @@ class StateGraph:
         self.interner = StateInterner()
         self._plocal = PackedGraph(self.interner)
         self._pinput = PackedGraph(self.interner)
-        self._lviews: List[Optional[Tuple[Edge, ...]]] = []
-        self._iviews: List[Optional[Tuple[Edge, ...]]] = []
         self._frontiers: Dict[bool, _Frontier] = {}
         self._cones: Dict[State, FrozenSet[State]] = {}
         self.hits = 0
@@ -207,8 +205,6 @@ class StateGraph:
         self.interner = StateInterner()
         self._plocal = PackedGraph(self.interner)
         self._pinput = PackedGraph(self.interner)
-        self._lviews = []
-        self._iviews = []
         self._frontiers = {}
         self._cones = {}
 
@@ -256,42 +252,15 @@ class StateGraph:
             self._sweep_input(sid)
         return (self._plocal, self._pinput)
 
-    def _view(
-        self, packed: PackedGraph, views: List[Optional[Tuple[Edge, ...]]],
-        sid: int,
-    ) -> Tuple[Edge, ...]:
-        """The ``(action, successor-state)`` tuple of ``sid``'s row,
-        built from the packed row once and memoized."""
-        if sid < len(views):
-            view = views[sid]
-            if view is not None:
-                return view
-        else:
-            views.extend([None] * (sid + 1 - len(views)))
-        start, end = packed.row_bounds(sid)
-        state_of = self.interner.state_of
-        succ = packed._succ
-        labels = packed._labels
-        view = tuple((labels[i], state_of(succ[i])) for i in range(start, end))
-        views[sid] = view
-        return view
-
-    def transitions(self, state: State, include_inputs: bool = False) -> Tuple[Edge, ...]:
-        """All ``(action, successor)`` edges out of ``state``, memoized.
-
-        Locally controlled actions always; with ``include_inputs``, every
-        input action of the signature is fired as well (the maximally
-        hostile environment).
-        """
+    def transitions(self, state: State) -> Tuple[Edge, ...]:
+        """All locally controlled ``(action, successor)`` edges out of
+        ``state``; the successor sweep is memoized as a packed row."""
         sid = self.interner.intern(state)
-        self._expand_id(sid, include_inputs)
-        edges = self._view(self._plocal, self._lviews, sid)
-        if not include_inputs:
-            return edges
-        return edges + self._view(self._pinput, self._iviews, sid)
-
-    def successors(self, state: State, include_inputs: bool = False) -> Tuple[State, ...]:
-        return tuple(s for _a, s in self.transitions(state, include_inputs))
+        self._expand_id(sid, False)
+        start, end = self._plocal.row_bounds(sid)
+        succ, labels = self._plocal._succ, self._plocal._labels
+        state_of = self.interner.state_of
+        return tuple((labels[i], state_of(succ[i])) for i in range(start, end))
 
     # -- cross-run persistence ---------------------------------------------
 

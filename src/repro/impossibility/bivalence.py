@@ -44,7 +44,14 @@ from typing import (
 
 from ..core.errors import SearchBudgetExceeded
 from ..core.freeze import register_packed_owner
-from ..core.packed import IdFlags, IdToValue, PackedGraph, StateInterner, ValueTable
+from ..core.packed import (
+    IdFlags,
+    IdToValue,
+    PackedGraph,
+    StateInterner,
+    ValueTable,
+    strongly_connected_components,
+)
 
 Configuration = Hashable
 Event = Hashable
@@ -128,9 +135,9 @@ class TransitionCache:
     (:class:`~repro.core.packed.PackedGraph`).  The id-level surface
     (:meth:`intern`, :meth:`ensure_expanded`, :meth:`row_bounds`,
     :meth:`decided_values_of`) is what the analyses' hot loops use; the
-    configuration-level surface (:meth:`transitions`, :meth:`successors`,
-    :meth:`apply`) is preserved for callers and materializes frozen
-    states only at the boundary.
+    configuration-level surface (:meth:`transitions`, :meth:`apply`) is
+    preserved for callers and materializes frozen states only at the
+    boundary.
     """
 
     system: DecisionSystem
@@ -193,10 +200,6 @@ class TransitionCache:
         self.ensure_expanded(sid)
         return self.graph.row_bounds(sid)
 
-    def successor_ids(self, sid: int):
-        self.ensure_expanded(sid)
-        return self.graph.successors_ids(sid)
-
     def arrays(self):
         """The flat CSR internals ``(succ, labels)`` for tight loops."""
         return self.graph._succ, self.graph._labels
@@ -250,9 +253,6 @@ class TransitionCache:
         )
         views[sid] = view
         return view
-
-    def successors(self, config: Configuration) -> Tuple[Configuration, ...]:
-        return tuple(child for _event, child in self.transitions(config))
 
     def apply(self, config: Configuration, event: Event) -> Configuration:
         """The successor through ``event`` (from cache when expanded)."""
@@ -390,10 +390,6 @@ class ValencyAnalyzer:
             mask = self._masks.get(sid)
         return mask
 
-    def _label_from(self, roots: Sequence[Configuration]) -> None:
-        intern = self.cache.intern
-        self._label_ids([intern(config) for config in roots])
-
     def _label_ids(self, roots: Sequence[int]) -> None:
         """Label every configuration in the cones of the ``roots`` ids.
 
@@ -409,119 +405,62 @@ class ValencyAnalyzer:
         roots = [sid for sid in roots if masks.get(sid) < 0]
         if not roots:
             return
-        # One fused pass: iterative Tarjan SCC over the unlabelled cone,
-        # expanding rows lazily the first time a node is visited.
-        # Components pop off in reverse topological order of the
-        # condensation, so every cross-edge target is already labelled
-        # when its source's component is processed.  All bookkeeping is
-        # raw and id-indexed — index/lowlink are flat lists, the
-        # recursion stack holds [id, cursor, row_end] frames over the
-        # CSR row offsets, and valencies union as int masks.  A child is
-        # *boundary* (valency final, do not recurse) exactly when its
-        # mask is already set and it is not part of this pass.
+        # Successor rows are expanded lazily the first time the SCC
+        # search reaches a node.  A child is *boundary* (valency final,
+        # do not descend) when its mask was set before this pass; a
+        # child labelled earlier in this pass sits in an emitted
+        # component, which Tarjan ignores anyway.
         graph = cache.graph
         ensure_expanded = cache.ensure_expanded
-        mvals = masks._vals
         succ = graph._succ
         gstart = graph._start
         gend = graph._end
-        total = len(cache.interner)
-        index: List[int] = [-1] * total
-        low: List[int] = [0] * total
-        on_stack = bytearray(total)
-        scc_stack: List[int] = []
-        counter = 0
         new_count = 0
         already = len(masks)
         max_configurations = self.max_configurations
         value_table = self._value_table
         decided_values_of = cache.decided_values_of
 
-        def visit(sid: int) -> None:
-            # First touch of ``sid`` in this pass: budget, expand, index.
-            nonlocal counter, new_count, total
+        def unlabelled_successors(sid: int) -> List[int]:
+            nonlocal new_count
             new_count += 1
             if new_count + already > max_configurations:
                 raise SearchBudgetExceeded(
                     f"valency analysis exceeded {max_configurations} configurations"
                 )
             ensure_expanded(sid)
-            grown = len(cache.interner)
-            if grown > total:
-                index.extend([-1] * (grown - total))
-                low.extend([0] * (grown - total))
-                on_stack.extend(b"\x00" * (grown - total))
-                total = grown
-            index[sid] = low[sid] = counter
-            counter += 1
-            scc_stack.append(sid)
-            on_stack[sid] = 1
+            mvals = masks._vals
+            known = len(mvals)
+            return [
+                child for child in succ[gstart[sid]:gend[sid]]
+                if child >= known or mvals[child] < 0
+            ]
 
-        for root in roots:
-            if index[root] >= 0 or (root < len(mvals) and mvals[root] >= 0):
-                continue
-            visit(root)
-            work: List[List[int]] = [[root, gstart[root], gend[root]]]
-            while work:
-                frame = work[-1]
-                node, cursor, row_end = frame
-                advanced = False
-                while cursor < row_end:
-                    child = succ[cursor]
-                    cursor += 1
-                    if index[child] < 0:
-                        if child < len(mvals) and mvals[child] >= 0:
-                            continue  # boundary: labelled before this pass
-                        frame[1] = cursor
-                        visit(child)
-                        work.append([child, gstart[child], gend[child]])
-                        advanced = True
-                        break
-                    if on_stack[child] and index[child] < low[node]:
-                        low[node] = index[child]
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    # Pop one SCC and label it: union of member decision
-                    # masks and of every outgoing mask (final by now).
-                    component: List[int] = []
-                    while True:
-                        member = scc_stack.pop()
-                        on_stack[member] = 0
-                        component.append(member)
-                        if member == node:
-                            break
-                    valency = 0
-                    for member in component:
-                        vals = decided_values_of(member)
-                        if vals:
-                            valency |= value_table.mask_of(vals)
-                    if len(component) == 1:
-                        sole = component[0]
-                        for i in range(gstart[sole], gend[sole]):
-                            child = succ[i]
-                            if child != sole:
-                                valency |= mvals[child]
-                    else:
-                        in_component = set(component)
-                        for member in component:
-                            for i in range(gstart[member], gend[member]):
-                                child = succ[i]
-                                if child in in_component:
-                                    continue
-                                valency |= mvals[child]
-                    for member in component:
-                        masks.set(member, valency)
-                    mvals = masks._vals
+        # Components arrive sinks-first, so every mask outside the
+        # component is final: the valency is the union of the members'
+        # own decided values and of every outgoing mask.
+        for component in strongly_connected_components(
+            roots, unlabelled_successors
+        ):
+            mvals = masks._vals
+            valency = 0
+            for member in component:
+                vals = decided_values_of(member)
+                if vals:
+                    valency |= value_table.mask_of(vals)
+            in_component = set(component)
+            for member in component:
+                for i in range(gstart[member], gend[member]):
+                    child = succ[i]
+                    if child not in in_component:
+                        valency |= mvals[child]
+            for member in component:
+                masks.set(member, valency)
 
     def label_reachable(self) -> Dict[Configuration, FrozenSet[Hashable]]:
         """Valency of *every* reachable configuration, in one linear pass."""
-        self._label_from(list(self.system.initial_configurations()))
+        intern = self.cache.intern
+        self._label_ids([intern(c) for c in self.system.initial_configurations()])
         return dict(self._valency_cache)
 
     def is_bivalent(self, config: Configuration) -> bool:

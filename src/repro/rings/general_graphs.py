@@ -5,7 +5,8 @@ problems (election, broadcast, spanning tree, counting) must "involve"
 every edge — missing even one admits executions with extra nodes hidden
 behind it — so e messages are necessary.  We build the standard flooding
 election (max-ID flood + parent pointers = spanning tree) on arbitrary
-networkx graphs, and the measurement confirms every edge carries traffic.
+adjacency mappings ``{node: iterable of neighbours}``, and the
+measurement confirms every edge carries traffic.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from ..core.adjacency import Adjacency, edge_count, is_connected
 from ..core.errors import ModelError
 
 
@@ -33,13 +33,15 @@ class GraphElectionResult:
     def all_edges_involved(self) -> bool:
         return len(self.edges_used) == self.edges
 
-    def tree_is_spanning(self, graph: nx.Graph) -> bool:
-        tree = nx.Graph(list(self.spanning_tree_edges))
-        tree.add_nodes_from(graph.nodes)
-        return nx.is_connected(tree) and tree.number_of_edges() == len(graph) - 1
+    def tree_is_spanning(self, graph: Adjacency) -> bool:
+        tree: Dict[Hashable, List[Hashable]] = {v: [] for v in graph}
+        for u, v in self.spanning_tree_edges:
+            tree.setdefault(u, []).append(v)
+            tree.setdefault(v, []).append(u)
+        return is_connected(tree) and edge_count(tree) == len(graph) - 1
 
 
-def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
+def flooding_election(graph: Adjacency, seed: int = 0) -> GraphElectionResult:
     """Max-ID flooding election with convergecast acknowledgement.
 
     Every node floods the largest ID it has seen; a node adopting a new
@@ -50,15 +52,15 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
     ``edges_used`` set certifies is unavoidable in the strong sense that
     this algorithm really does touch every edge.
     """
-    if graph.number_of_nodes() == 0:
+    if len(graph) == 0:
         raise ModelError("empty graph")
-    if not nx.is_connected(graph):
+    if not is_connected(graph):
         raise ModelError("election requires a connected graph")
     import random
 
     rng = random.Random(seed)
-    best: Dict[Hashable, Hashable] = {v: v for v in graph.nodes}
-    parent: Dict[Hashable, Optional[Hashable]] = {v: None for v in graph.nodes}
+    best: Dict[Hashable, Hashable] = {v: v for v in graph}
+    parent: Dict[Hashable, Optional[Hashable]] = {v: None for v in graph}
     # FIFO channels per directed edge.
     channels: Dict[Tuple[Hashable, Hashable], List[Hashable]] = {}
     messages = 0
@@ -70,8 +72,8 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
         messages += 1
         edges_used.add(tuple(sorted((src, dst), key=repr)))
 
-    for v in graph.nodes:
-        for u in graph.neighbors(v):
+    for v in graph:
+        for u in graph[v]:
             send(v, u, best[v])
 
     while True:
@@ -84,21 +86,21 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
         if value > best[dst]:
             best[dst] = value
             parent[dst] = src
-            for u in graph.neighbors(dst):
+            for u in graph[dst]:
                 if u != src:
                     send(dst, u, value)
 
-    leader = max(graph.nodes)
+    leader = max(graph)
     if any(b != leader for b in best.values()):
         raise ModelError("flooding terminated before the maximum spread")
     tree_edges = {
         tuple(sorted((v, parent[v]), key=repr))
-        for v in graph.nodes
+        for v in graph
         if parent[v] is not None
     }
     return GraphElectionResult(
-        n=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
+        n=len(graph),
+        edges=edge_count(graph),
         messages=messages,
         leader=leader,
         spanning_tree_edges=tree_edges,
@@ -107,7 +109,7 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
 
 
 def edge_involvement_series(
-    graphs: Dict[str, nx.Graph], seed: int = 0
+    graphs: Dict[str, Adjacency], seed: int = 0
 ) -> Dict[str, Tuple[int, int, bool]]:
     """For each named graph: (messages, e, all edges involved?)."""
     out = {}
@@ -128,12 +130,13 @@ def hidden_node_demonstration(n_path: int = 4) -> Tuple[int, int]:
     answer for both — although the true maxima differ — which is exactly
     why every edge must be involved.
     """
-    def broken_flood_max(graph: nx.Graph, dead_edge) -> Hashable:
-        best = {v: v for v in graph.nodes}
+    def broken_flood_max(path_length: int, dead_edge) -> Hashable:
+        # Max-flood over the path graph 0 - 1 - ... - (path_length - 1).
+        best = {v: v for v in range(path_length)}
         changed = True
         while changed:
             changed = False
-            for u, v in graph.edges:
+            for u, v in ((u, u + 1) for u in range(path_length - 1)):
                 if tuple(sorted((u, v))) == tuple(sorted(dead_edge)):
                     continue
                 m = max(best[u], best[v])
@@ -142,9 +145,8 @@ def hidden_node_demonstration(n_path: int = 4) -> Tuple[int, int]:
                     changed = True
         return best[0]
 
-    small = nx.path_graph(n_path)
     dead = (n_path - 2, n_path - 1)
-    answer_small = broken_flood_max(small, dead)
-    big = nx.path_graph(n_path + 1)  # one more node hidden past the dead edge
-    answer_big = broken_flood_max(big, dead)
+    answer_small = broken_flood_max(n_path, dead)
+    # One more node hidden past the dead edge.
+    answer_big = broken_flood_max(n_path + 1, dead)
     return answer_small, answer_big

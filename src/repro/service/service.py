@@ -43,7 +43,7 @@ import importlib
 import inspect
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.budget import Budget
 from ..parallel.pool import WorkerPool, resolve_workers
@@ -346,7 +346,19 @@ _HANDLERS = {
 QUERY_KINDS = tuple(_HANDLERS)
 
 
-def _compute_live(args: Tuple) -> Tuple[Dict[str, Any], bool]:
+_Outcome = Union[Tuple[Dict[str, Any], bool], Exception]
+
+
+def _run_live(handler, params: Dict[str, Any], budget, workers) -> _Outcome:
+    """One live engine run: its ``(payload, complete)`` pair, or the
+    exception it raised, returned so that it fails only its own handle."""
+    try:
+        return handler(params, budget, workers)
+    except Exception as error:
+        return error
+
+
+def _compute_live(args: Tuple) -> _Outcome:
     """Worker-side body of one miss: recompute from the key description.
 
     Workers receive only the JSON-native key description plus the budget
@@ -361,7 +373,7 @@ def _compute_live(args: Tuple) -> Tuple[Dict[str, Any], bool]:
         raise ValueError(
             f"unknown query kind {key.kind!r}; known: {sorted(_HANDLERS)}"
         )
-    return handler(key.params_dict(), budget, 1)
+    return _run_live(handler, key.params_dict(), budget, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +394,27 @@ class Answer:
 class PendingQuery:
     """A shared handle for one submitted (possibly deduplicated) query."""
 
-    __slots__ = ("key", "_service", "_answer")
+    __slots__ = ("key", "_service", "_answer", "_error")
 
     def __init__(self, service: "QueryService", key: QueryKey):
         self.key = key
         self._service = service
         self._answer: Optional[Answer] = None
+        self._error: Optional[Exception] = None
 
     @property
     def done(self) -> bool:
-        return self._answer is not None
+        return self._answer is not None or self._error is not None
 
     def result(self) -> Answer:
-        """The answer, draining the service's pending batch if needed."""
-        if self._answer is None:
+        """The answer, draining the service's pending batch if needed;
+        raises the engine's exception if this query's live run failed."""
+        if not self.done:
             self._service.drain()
-        assert self._answer is not None
+        if self._error is not None:
+            raise self._error
+        if self._answer is None:
+            raise RuntimeError(f"{self.key.kind} query drained unanswered")
         return self._answer
 
 
@@ -473,12 +490,17 @@ class QueryService:
             # Single miss (or serial service): let the engine itself
             # use the configured workers.
             outcomes = [
-                _HANDLERS[h.key.kind](
-                    h.key.params_dict(), self.budget, self.workers
+                _run_live(
+                    _HANDLERS[h.key.kind], h.key.params_dict(), self.budget,
+                    self.workers,
                 )
                 for h in misses
             ]
-        for handle, (payload, complete) in zip(misses, outcomes):
+        for handle, outcome in zip(misses, outcomes):
+            if isinstance(outcome, Exception):
+                handle._error = outcome
+                continue
+            payload, complete = outcome
             self.live += 1
             if complete:
                 self.store.put(handle.key, payload)

@@ -39,12 +39,11 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
+from ..core.adjacency import bfs_parents
 from ..core.automaton import Action, IOAutomaton, Signature, State
 from ..core.errors import ModelError
-from ..core.exploration import explore
 from ..core.freeze import frozendict
+from ..core.packed import strongly_connected_components
 from ..core.stategraph import state_graph
 from .process import SharedMemoryProcess
 
@@ -244,111 +243,97 @@ def find_starvation_cycle(
     Returns a witness or None.  This is the mechanized form of "construct
     an incompatible infinite admissible execution" from [26].
     """
-    reach = explore(system, max_states=max_states, include_inputs=True)
-    # The exploration above populated the shared state graph; rebuilding
-    # the stuck-subgraph edges below is served entirely from its cache.
-    shared = state_graph(system)
+    graph = state_graph(system)
+    frontier = graph.frontier(include_inputs=True)
+    frontier.expand_all(max_states)
+    state_of = graph.interner.state_of
     inputs = system.signature.inputs
+    # The stuck subgraph over interned ids: each stuck state's (action,
+    # successor) edges, local row then input row, that stay stuck.
+    stuck = dict.fromkeys(
+        sid for sid in frontier.order if victim_stuck(state_of(sid))
+    )
+    edges: Dict[int, List[Tuple[Action, int]]] = {
+        sid: [
+            (action, child)
+            for packed in (graph._plocal, graph._pinput)
+            for action, child in zip(packed.labels_of(sid), packed.successors_ids(sid))
+            if child in stuck
+            and not (child == sid and action in inputs)  # an ignored input
+            and (forbidden_actions is None or not forbidden_actions(action))
+        ]
+        for sid in stuck
+    }
 
-    graph = nx.MultiDiGraph()
-    for state in reach.reachable:
-        if not victim_stuck(state):
+    for component in strongly_connected_components(
+        edges, lambda sid: [child for _action, child in edges[sid]]
+    ):
+        members = set(component)
+        inner = {
+            sid: [(a, child) for a, child in edges[sid] if child in members]
+            for sid in component
+        }
+        actions_in_cycle = {a for row in inner.values() for a, _child in row}
+        if not actions_in_cycle:
             continue
-        graph.add_node(state)
-        for action, succ in shared.transitions(state, include_inputs=True):
-            if forbidden_actions is not None and forbidden_actions(action):
-                continue
-            if succ == state and action in inputs:
-                continue  # ignored input; not a real step
-            if victim_stuck(succ):
-                graph.add_edge(state, succ, action=action)
-
-    for component in nx.strongly_connected_components(graph):
-        subgraph = graph.subgraph(component)
-        edges = list(subgraph.edges(data="action"))
-        if not edges:
-            continue
-        actions_in_cycle = {a for (_u, _v, a) in edges}
+        states = [state_of(sid) for sid in component]
         # Condition 1: process fairness.
-        fair = True
-        for p in system.processes:
-            acts_here = any(
-                _process_of_action(system, a) == p.name for a in actions_in_cycle
-            )
-            if acts_here:
-                continue
-            sometimes_idle = any(
-                p.is_idle(system.local_state(state, p.name)) for state in component
-            )
-            if not sometimes_idle:
-                fair = False
-                break
-        if not fair:
+        if not all(
+            any(_process_of_action(system, a) == p.name for a in actions_in_cycle)
+            or any(p.is_idle(system.local_state(s, p.name)) for s in states)
+            for p in system.processes
+        ):
             continue
         # Condition 2: environment cooperation.
         if environment_returns is not None:
-            owed = {
-                environment_returns(state)
-                for state in component
-                if environment_returns(state) is not None
-            }
+            owed = {environment_returns(s) for s in states} - {None}
             if not owed <= actions_in_cycle:
                 continue
-        # Build a concrete cycle through the component covering one edge per
-        # required action (any closed walk through all of them).
-        witness_cycle = _closed_walk_covering(subgraph, actions_in_cycle)
-        if witness_cycle is None:
-            continue
-        cycle_states, cycle_actions = witness_cycle
-        stem = reach.path_to(cycle_states[0])
+        cycle_ids, cycle_actions = _closed_walk_covering(inner)
+        stem_ids = [cycle_ids[0]]
+        while frontier.parent_of[stem_ids[-1]] is not None:
+            stem_ids.append(frontier.parent_of[stem_ids[-1]][0])
         return StarvationWitness(
             victim=victim,
-            stem_states=stem.states,
-            cycle_states=tuple(cycle_states),
+            stem_states=tuple(state_of(sid) for sid in reversed(stem_ids)),
+            cycle_states=tuple(state_of(sid) for sid in cycle_ids),
             cycle_actions=tuple(cycle_actions),
         )
     return None
 
 
 def _closed_walk_covering(
-    graph: "nx.MultiDiGraph", required_actions: Set[Action]
-) -> Optional[Tuple[List[State], List[Action]]]:
-    """A closed walk in a strongly connected multigraph covering every
-    required action at least once."""
-    # Pick, for each required action, one edge carrying it; then stitch the
-    # edges together with shortest paths (the graph is strongly connected).
-    chosen: List[Tuple[State, State, Action]] = []
-    remaining = set(required_actions)
-    for u, v, a in graph.edges(data="action"):
-        if a in remaining:
-            chosen.append((u, v, a))
-            remaining.discard(a)
-        if not remaining:
-            break
-    if remaining or not chosen:
-        return None
-    walk_states: List[State] = [chosen[0][0]]
+    inner: Dict[int, List[Tuple[Action, int]]]
+) -> Tuple[List[int], List[Action]]:
+    """A closed walk through a strongly connected component, given as each
+    member's (action, successor) edges inside it, that takes every action
+    at least once: one edge per action, stitched together (and back to
+    the start) by BFS shortest paths inside the component."""
+    chosen: Dict[Action, Tuple[int, int]] = {}
+    for sid, row in inner.items():
+        for action, child in row:
+            chosen.setdefault(action, (sid, child))
+    # successor -> the first action reaching it, per member.
+    adjacency = {
+        sid: {child: a for a, child in reversed(row)} for sid, row in inner.items()
+    }
+    first = next(iter(chosen.values()))[0]
+    walk_ids: List[int] = [first]
     walk_actions: List[Action] = []
-    current = chosen[0][0]
-    for u, v, a in chosen:
-        if current != u:
-            path = nx.shortest_path(graph, current, u)
-            for i in range(len(path) - 1):
-                edge_action = next(
-                    iter(graph.get_edge_data(path[i], path[i + 1]).values())
-                )["action"]
-                walk_states.append(path[i + 1])
-                walk_actions.append(edge_action)
-            current = u
-        walk_states.append(v)
-        walk_actions.append(a)
-        current = v
-    if current != walk_states[0]:
-        path = nx.shortest_path(graph, current, walk_states[0])
-        for i in range(len(path) - 1):
-            edge_action = next(
-                iter(graph.get_edge_data(path[i], path[i + 1]).values())
-            )["action"]
-            walk_states.append(path[i + 1])
-            walk_actions.append(edge_action)
-    return walk_states, walk_actions
+
+    def stitch(target: int) -> None:
+        parents = bfs_parents(adjacency, walk_ids[-1])
+        path: List[int] = []
+        while parents[target] is not None:
+            path.append(target)
+            target = parents[target]
+        for sid in reversed(path):
+            walk_actions.append(adjacency[walk_ids[-1]][sid])
+            walk_ids.append(sid)
+
+    for action, (u, v) in chosen.items():
+        stitch(u)
+        walk_actions.append(action)
+        walk_ids.append(v)
+    stitch(first)
+    return walk_ids, walk_actions

@@ -1,5 +1,7 @@
 """Tests for two-party communication complexity (E21, §2.6)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,18 @@ class TestLowerBounds:
     def test_rank_bound_equality(self):
         # The identity matrix has full rank 2^bits.
         assert log_rank_bound(equality_matrix(2)) == 2
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_rank_bound_pins_known_ranks(self, bits):
+        # Exact ranks: EQ is the identity (2^b), GT is strictly lower
+        # triangular with 2^b - 1 nonzero rows, parity is rank 2 and the
+        # constant-0 matrix rank 0; the bound is ceil(log2 rank).
+        assert log_rank_bound(equality_matrix(bits)) == bits
+        assert log_rank_bound(greater_than_matrix(bits)) == math.ceil(
+            math.log2(2 ** bits - 1)
+        )
+        assert log_rank_bound(parity_matrix(bits)) == 1
+        assert log_rank_bound(constant_matrix(bits)) == 0
 
     def test_bounds_sandwich(self):
         for matrix in (equality_matrix(2), greater_than_matrix(2),

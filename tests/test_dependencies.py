@@ -3,12 +3,15 @@
 Every third-party top-level module imported anywhere under
 ``src/repro`` must be named in ``[project] dependencies`` of
 ``pyproject.toml``; otherwise a clean ``pip install .`` yields a package
-that fails at import time.
+that fails at import time.  The runtime needs the standard library
+only, so every module must import in an interpreter without
+site-packages.
 """
 
 import ast
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -16,7 +19,8 @@ import pytest
 tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(ROOT, "src", "repro")
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "repro")
 
 
 def _top_level_imports():
@@ -33,6 +37,24 @@ def _top_level_imports():
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     found.add(node.module.split(".")[0])
     return found
+
+
+def test_every_module_imports_without_site_packages():
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import repro\n"
+        "names = [info.name for info in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) > 100
 
 
 def _declared():

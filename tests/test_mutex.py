@@ -18,6 +18,10 @@ bakery (r/w, FIFO)      yes    (simulated: unbounded state)
 
 import pytest
 
+from repro.shared_memory.kexclusion import (
+    cas_semaphore_system,
+    counting_semaphore_system,
+)
 from repro.shared_memory.mutex import (
     CRITICAL,
     TRYING,
@@ -26,6 +30,7 @@ from repro.shared_memory.mutex import (
     handoff_lock_system,
     peterson_system,
     tas_semaphore_system,
+    tournament_system,
 )
 
 
@@ -191,3 +196,78 @@ class TestBoundedWaiting:
         assert semaphore.measure_bypass("p0", steps=6000, seeds=range(4)) > 3
         dijkstra = dijkstra_system(2)
         assert dijkstra.measure_bypass("p0", steps=6000, seeds=range(4)) > 3
+
+
+def _witness_checks(system):
+    """Every starvation witness the lockout and deadlock checkers return."""
+    for p in system.processes:
+        for check in (system.check_lockout_freedom, system.check_deadlock_freedom):
+            witness = check(p.name)
+            if witness is not None:
+                yield witness
+
+
+def _assert_valid_witness(system, witness):
+    """A witness is a real admissible lasso: a replayable stem into a
+    closed cycle of real transitions, the victim stuck throughout and
+    every process serviced."""
+    from repro.core.execution import Execution
+    from repro.shared_memory.system import _process_of_action
+
+    def action_between(state, succ):
+        candidates = list(system.enabled_actions(state))
+        candidates += sorted(system.signature.inputs, key=repr)
+        for action in candidates:
+            if succ in system.apply(state, action):
+                return action
+        raise AssertionError(f"no transition {state!r} -> {succ!r}")
+
+    stem = witness.stem_states
+    assert stem[0] in set(system.initial_states())
+    stem_actions = [action_between(a, b) for a, b in zip(stem, stem[1:])]
+    assert Execution.run(system, stem_actions, start=stem[0]).states == stem
+    cycle = witness.cycle_states
+    assert stem[-1] == cycle[0] == cycle[-1]
+    assert len(cycle) == len(witness.cycle_actions) + 1 >= 2
+    for state, action, succ in zip(cycle, witness.cycle_actions, cycle[1:]):
+        assert system.is_enabled(state, action)
+        assert succ in set(system.apply(state, action))
+    victim = witness.victim
+    for state in cycle:
+        assert system.local_state(state, victim)["region"] == TRYING
+    acting = {_process_of_action(system, a) for a in witness.cycle_actions}
+    for p in system.processes:
+        assert p.name in acting or any(
+            p.is_idle(system.local_state(state, p.name)) for state in cycle
+        ), p.name
+
+
+class TestStarvationWitnesses:
+    def test_synthetic_class_witnesses_are_admissible_lassos(self):
+        from repro.shared_memory.lower_bounds import (
+            build_synthetic_system,
+            enumerate_protocol_tables,
+        )
+
+        found = 0
+        for table in enumerate_protocol_tables(2, 1):
+            system = build_synthetic_system((table, table))
+            for witness in _witness_checks(system):
+                _assert_valid_witness(system, witness)
+                found += 1
+        assert found > 0
+
+    @pytest.mark.parametrize("build,witnesses", [
+        (lambda: dijkstra_system(2), 2),
+        (lambda: tournament_system(2), 0),
+        (lambda: counting_semaphore_system(2, 1), 4),
+        (lambda: counting_semaphore_system(3, 2), 6),
+        (lambda: cas_semaphore_system(2, 1), 2),
+    ], ids=["dijkstra", "tournament", "counting-semaphore",
+            "counting-semaphore-3-of-2", "cas-semaphore"])
+    def test_algorithm_witnesses_are_admissible_lassos(self, build, witnesses):
+        system = build()
+        found = list(_witness_checks(system))
+        assert len(found) == witnesses
+        for witness in found:
+            _assert_valid_witness(system, witness)

@@ -2,12 +2,15 @@
 
 The bit-packed engine (:mod:`repro.core.packed`) is an internal
 representation change — dense integer ids and CSR adjacency behind the
-same public APIs.  These tests pin the contract from three sides:
+same public APIs.  These tests pin the contract from four sides:
 
 * **frozen equivalence** — reachability sets, BFS parent maps and
   valency labels over the packed stores are identical to a naive
   frozen-state reference executed per query, across hypothesis-random
   automata;
+* **shared SCC routine** — the one Tarjan both the valency labeller and
+  the starvation checker use partitions random digraphs into their
+  mutual-reachability classes and yields them sinks-first;
 * **id lifetime** — ids never leak across interners/automata, and
   ``clear_intern_table`` cascades into every registered per-graph
   interner (a new interning epoch invalidates all packed state);
@@ -33,6 +36,7 @@ from repro.core import (
     intern_table_stats,
     state_graph,
 )
+from repro.core.packed import strongly_connected_components
 from repro.registers.exhaustive import (
     ProgramConsensus,
     _packed_verdict_kind,
@@ -185,6 +189,51 @@ class TestFrozenEquivalence:
         # Served from the packed row on the second ask — still states.
         assert graph.transitions(0) == (("inc", 1),)
         assert graph.hits >= 1
+
+
+@st.composite
+def digraphs(draw):
+    """A random digraph over ids 0..n-1 plus a root order covering it."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = [
+        draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4))
+        for _ in range(n)
+    ]
+    roots = draw(st.permutations(range(n)))
+    return rows, roots
+
+
+class TestSharedScc:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_components_are_mutual_reachability_classes_sinks_first(self, graph):
+        rows, roots = graph
+        n = len(rows)
+        reach = [{v} for v in range(n)]
+        for v in range(n):
+            stack = [v]
+            while stack:
+                for w in rows[stack.pop()]:
+                    if w not in reach[v]:
+                        reach[v].add(w)
+                        stack.append(w)
+        calls = []
+
+        def successors(sid):
+            calls.append(sid)
+            return rows[sid]
+
+        components = list(strongly_connected_components(roots, successors))
+        assert sorted(calls) == list(range(n))  # one call per node
+        assert sorted(v for c in components for v in c) == list(range(n))
+        for component in components:
+            for v in component:
+                assert {w for w in range(n) if v in reach[w] and w in reach[v]} \
+                    == set(component)
+        emitted = {v: i for i, c in enumerate(components) for v in c}
+        for v in range(n):
+            for w in rows[v]:
+                assert emitted[w] <= emitted[v]  # no edge to a later component
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,22 @@ class TestResolution:
         with pytest.raises(ValueError):
             service.submit(QueryKey.make("tarot-reading", question="why"))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_engine_fails_only_its_own_handle(self, tmp_path, workers):
+        """One raising engine must not strand the rest of its batch: the
+        good handle is answered and stored, the bad one re-raises."""
+        store = CertificateStore(str(tmp_path / "certs"))
+        service = QueryService(store, workers=workers)
+        good = service.submit(flp_key("wait-for-all"))
+        bad = service.submit(campaign_key(("no-such-target",), runs=1))
+        service.drain()
+        answer = good.result()
+        assert answer.source == "live" and answer.complete
+        assert store.stats["puts"] == 1
+        assert QueryService(store).resolve(flp_key("wait-for-all")).source == "store"
+        with pytest.raises(ValueError, match="no-such-target"):
+            bad.result()
+
     def test_incomplete_result_returned_but_never_stored(self, store):
         service = QueryService(store, budget=Budget(max_steps=5))
         answer = service.resolve(register_search_key(depth=2))

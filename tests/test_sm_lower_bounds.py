@@ -53,7 +53,8 @@ class TestCremersHibbard:
         cert = cremers_hibbard_certificate(values=2, modes=1, symmetric=False)
         assert cert.candidates_checked == 64 * 64
         assert cert.details["fair_solutions"] == 0
-        assert cert.details["unfair_solutions"] > 0
+        assert cert.details["unfair_solutions"] == 4
+        assert cert.details["mutual_exclusion_holders"] == 2016
         cert.revalidate()
 
     def test_class_limit_enforced(self):

@@ -19,18 +19,18 @@ from repro.core import ModelError
 
 class TestGraphs:
     def test_consensus_input_graph_is_hypercube(self):
-        graph = input_graph(binary_consensus_task(3))
+        graph = nx.Graph(input_graph(binary_consensus_task(3)))
         assert graph.number_of_nodes() == 8
         assert graph.number_of_edges() == 12  # the 3-cube
         assert nx.is_connected(graph)
 
     def test_consensus_decision_graph_is_two_points(self):
-        graph = decision_graph(binary_consensus_task(3))
+        graph = nx.Graph(decision_graph(binary_consensus_task(3)))
         assert graph.number_of_nodes() == 2
         assert graph.number_of_edges() == 0
 
     def test_epsilon_agreement_decision_graph_connected(self):
-        graph = decision_graph(epsilon_agreement_task(2))
+        graph = nx.Graph(decision_graph(epsilon_agreement_task(2)))
         assert nx.is_connected(graph)
 
 
